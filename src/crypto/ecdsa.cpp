@@ -98,12 +98,7 @@ bool ecdsa_verify(const EcPoint& pub, const Sha256Digest& digest,
   const Scalar32 sinv = scalar_inv_mod_n(sig.s);
   const Scalar32 u1 = scalar_mul_mod_n(e, sinv);
   const Scalar32 u2 = scalar_mul_mod_n(sig.r, sinv);
-  EcPoint point;
-  if (scalar_is_zero(u1)) {
-    point = p256_mul(pub, u2);
-  } else {
-    point = p256_add(p256_base_mul(u1), p256_mul(pub, u2));
-  }
+  const EcPoint point = p256_base_mul_add(u1, pub, u2);
   if (point.infinity) return false;
   const Scalar32 v = scalar_mod_n(point.x);
   return ct_equal(v, sig.r);

@@ -23,21 +23,20 @@ void store_be(const U128& v, std::uint8_t b[16]) noexcept {
   for (int i = 0; i < 8; ++i) b[8 + i] = static_cast<std::uint8_t>(v.lo >> (56 - 8 * i));
 }
 
-/// GF(2^128) multiplication per SP 800-38D (right-shift variant).
+/// GF(2^128) multiplication per SP 800-38D (right-shift variant). Bits of
+/// x and y select by mask, never by branch: both carry the key H or data.
 U128 gf_mul(const U128& x, const U128& y) noexcept {
   U128 z{};
   U128 v = y;
   for (int i = 0; i < 128; ++i) {
     const std::uint64_t bit =
         i < 64 ? (x.hi >> (63 - i)) & 1 : (x.lo >> (127 - i)) & 1;
-    if (bit) {
-      z.hi ^= v.hi;
-      z.lo ^= v.lo;
-    }
-    const bool lsb = v.lo & 1;
+    const std::uint64_t take = 0 - bit;
+    z.hi ^= v.hi & take;
+    z.lo ^= v.lo & take;
+    const std::uint64_t lsb = 0 - (v.lo & 1);
     v.lo = (v.lo >> 1) | (v.hi << 63);
-    v.hi >>= 1;
-    if (lsb) v.hi ^= 0xe100000000000000ULL;  // R = 11100001 || 0^120
+    v.hi = (v.hi >> 1) ^ (0xe100000000000000ULL & lsb);  // R = 11100001 || 0^120
   }
   return z;
 }

@@ -1,9 +1,13 @@
 // NIST P-256 (secp256r1) group arithmetic, from scratch.
 //
 // Internals use 4x64-bit limbs with Montgomery multiplication and Jacobian
-// projective points. This header exposes only the byte-oriented group API;
-// ECDSA/ECDH sit on top in ecdsa.hpp. The curve choice follows the paper
-// (secp256r1 per NIST recommendation, SS V "Implementation").
+// projective points. k*G walks a fixed-base comb table (j * 16^i * G, built
+// once per process); k*P uses a 4-bit fixed window. Scalar multiplication is
+// constant-time in the scalar: table reads scan every entry by mask and a
+// zero digit still runs its addition. This header exposes only the
+// byte-oriented group API; ECDSA/ECDH sit on top in ecdsa.hpp. The curve
+// choice follows the paper (secp256r1 per NIST recommendation, SS V
+// "Implementation").
 #pragma once
 
 #include <array>
@@ -36,6 +40,10 @@ EcPoint p256_base_mul(const Scalar32& k);
 
 /// k * P for arbitrary P (P must be on the curve).
 EcPoint p256_mul(const EcPoint& p, const Scalar32& k);
+
+/// u1 * G + u2 * Q with a single final inversion (ECDSA verification).
+/// Q must be on the curve; either scalar may be zero.
+EcPoint p256_base_mul_add(const Scalar32& u1, const EcPoint& q, const Scalar32& u2);
 
 EcPoint p256_add(const EcPoint& a, const EcPoint& b);
 

@@ -131,6 +131,60 @@ TEST(Ecdsa, KeypairFromPrivateRejectsInvalid) {
   EXPECT_FALSE(keypair_from_private(all_ff).ok());
 }
 
+// -- verify edge cases for the combined u1*G + u2*Q path --------------------
+
+const Scalar32 kOrderN = scalar_from_hex(
+    "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551");
+
+Sha256Digest digest_from(const Scalar32& s) {
+  Sha256Digest d;
+  std::copy(s.begin(), s.end(), d.begin());
+  return d;
+}
+
+TEST(Ecdsa, VerifyDigestZeroModN) {
+  // e == 0 makes u1 == 0: the G half of the combined multiply contributes
+  // the identity.
+  auto kp = keypair_from_private(kPriv);
+  ASSERT_TRUE(kp.ok());
+  const Sha256Digest zero{};
+  const auto sig = ecdsa_sign(kPriv, zero);
+  EXPECT_TRUE(ecdsa_verify(kp->pub, zero, sig));
+  EXPECT_FALSE(ecdsa_verify(kp->pub, sha256(to_bytes("other")), sig));
+}
+
+TEST(Ecdsa, VerifyDigestEqualToOrder) {
+  // A digest equal to n's bytes reduces to e == 0, the same as a zero digest.
+  auto kp = keypair_from_private(kPriv);
+  ASSERT_TRUE(kp.ok());
+  const Sha256Digest n_digest = digest_from(kOrderN);
+  const auto sig = ecdsa_sign(kPriv, n_digest);
+  EXPECT_TRUE(ecdsa_verify(kp->pub, n_digest, sig));
+  EXPECT_TRUE(ecdsa_verify(kp->pub, Sha256Digest{}, sig));
+}
+
+TEST(Ecdsa, VerifyAcceptsMalleatedSignature) {
+  // (r, n - s) is the other valid signature for the same nonce.
+  auto kp = keypair_from_private(kPriv);
+  ASSERT_TRUE(kp.ok());
+  const auto digest = sha256(to_bytes("malleable"));
+  const auto sig = ecdsa_sign(kPriv, digest);
+  Scalar32 n_minus_1 = kOrderN;
+  n_minus_1[31] -= 1;
+  const EcdsaSignature flipped{sig.r, scalar_mul_mod_n(sig.s, n_minus_1)};
+  EXPECT_NE(flipped.s, sig.s);
+  EXPECT_TRUE(ecdsa_verify(kp->pub, digest, flipped));
+}
+
+TEST(Ecdsa, VerifyRejectsComponentEqualToOrder) {
+  auto kp = keypair_from_private(kPriv);
+  ASSERT_TRUE(kp.ok());
+  const auto digest = sha256(to_bytes("range"));
+  const auto sig = ecdsa_sign(kPriv, digest);
+  EXPECT_FALSE(ecdsa_verify(kp->pub, digest, EcdsaSignature{kOrderN, sig.s}));
+  EXPECT_FALSE(ecdsa_verify(kp->pub, digest, EcdsaSignature{sig.r, kOrderN}));
+}
+
 TEST(Ecdh, NistCavsVector) {
   // NIST CAVS KAS ECC CDH P-256, count = 0.
   const Scalar32 d = scalar_from_hex(

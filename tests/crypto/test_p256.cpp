@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <random>
+#include <vector>
+
 #include "common/bytes.hpp"
 
 namespace watz::crypto {
@@ -94,6 +99,22 @@ TEST(P256, MulAssociatesThroughPoint) {
   EXPECT_EQ(p256_base_mul(ab), p256_mul(p256_base_mul(b), a));
 }
 
+TEST(P256, BaseMulAddMatchesSeparateProducts) {
+  // u1*G + u2*Q, including a zero scalar on either side.
+  const Scalar32 u1 = scalar_from_hex(
+      "a6e3c57dd01abe90086538398355dd4c3b17aa873382b0f24d6129493d8aad60");
+  const Scalar32 u2 = small_scalar(0x1234567);
+  const EcPoint q = p256_base_mul(small_scalar(0xdeadbeef));
+  EXPECT_EQ(p256_base_mul_add(u1, q, u2), p256_add(p256_base_mul(u1), p256_mul(q, u2)));
+  EXPECT_EQ(p256_base_mul_add(Scalar32{}, q, u2), p256_mul(q, u2));
+  EXPECT_EQ(p256_base_mul_add(u1, q, Scalar32{}), p256_base_mul(u1));
+  EXPECT_TRUE(p256_base_mul_add(Scalar32{}, q, Scalar32{}).infinity);
+  // Q = G with u1 + u2 = n: the two halves cancel to the identity.
+  Scalar32 n_minus_1 = kOrderN;
+  n_minus_1[31] -= 1;
+  EXPECT_TRUE(p256_base_mul_add(small_scalar(1), generator(), n_minus_1).infinity);
+}
+
 TEST(P256, OffCurvePointRejected) {
   EcPoint bogus = generator();
   bogus.y[31] ^= 1;
@@ -152,6 +173,124 @@ TEST(P256, LargeScalarInverseProperty) {
   const Scalar32 k = scalar_from_hex(
       "a6e3c57dd01abe90086538398355dd4c3b17aa873382b0f24d6129493d8aad60");
   EXPECT_EQ(scalar_mul_mod_n(k, scalar_inv_mod_n(k)), small_scalar(1));
+}
+
+// -- differential: scalar multiplication vs an affine reference --------------
+//
+// The reference is plain double-and-add built only from the public p256_add,
+// so it shares no code with the comb or window paths under test. Random
+// scalars come from a printed seed; WATZ_P256_SEED=0x<s> replays a run.
+
+/// k * p by affine double-and-add over p256_add, most significant bit first.
+EcPoint reference_mul(const EcPoint& p, const Scalar32& k) {
+  EcPoint acc;  // infinity
+  for (int i = 0; i < 256; ++i) {
+    acc = p256_add(acc, acc);
+    if ((k[i / 8] >> (7 - i % 8)) & 1) acc = p256_add(acc, p);
+  }
+  return acc;
+}
+
+/// 2^bit as a scalar.
+Scalar32 pow2(int bit) {
+  Scalar32 s{};
+  s[31 - bit / 8] = static_cast<std::uint8_t>(1u << (bit % 8));
+  return s;
+}
+
+/// 2^bits - 1 as a scalar.
+Scalar32 low_ones(int bits) {
+  Scalar32 s{};
+  for (int b = 0; b < bits; ++b) s[31 - b / 8] |= static_cast<std::uint8_t>(1u << (b % 8));
+  return s;
+}
+
+Scalar32 minus_small(Scalar32 s, std::uint8_t v) {
+  int borrow = v;
+  for (int i = 31; i >= 0 && borrow != 0; --i) {
+    const int cur = s[i] - borrow;
+    s[i] = static_cast<std::uint8_t>(cur);
+    borrow = cur < 0 ? 1 : 0;
+  }
+  return s;
+}
+
+Scalar32 half(const Scalar32& s) {
+  Scalar32 out{};
+  for (int i = 0; i < 32; ++i)
+    out[i] = static_cast<std::uint8_t>((s[i] >> 1) | (i > 0 ? s[i - 1] << 7 : 0));
+  return out;
+}
+
+std::uint64_t differential_seed() {
+  static const std::uint64_t seed = []() -> std::uint64_t {
+    if (const char* env = std::getenv("WATZ_P256_SEED")) return std::strtoull(env, nullptr, 0);
+    std::random_device device;
+    return (static_cast<std::uint64_t>(device()) << 32) ^ device();
+  }();
+  return seed;
+}
+
+Scalar32 random_valid_scalar(std::mt19937_64& rng) {
+  for (;;) {
+    Scalar32 s;
+    for (auto& b : s) b = static_cast<std::uint8_t>(rng());
+    if (p256_scalar_valid(s)) return s;
+  }
+}
+
+/// Checks k against G (comb and window paths) and against a random point q.
+void expect_matches_reference(const Scalar32& k, const EcPoint& q) {
+  SCOPED_TRACE("k = " + to_hex(k));
+  ASSERT_TRUE(p256_scalar_valid(k));
+  const EcPoint kg = reference_mul(generator(), k);
+  EXPECT_EQ(p256_base_mul(k), kg);
+  EXPECT_EQ(p256_mul(generator(), k), kg);
+  EXPECT_EQ(p256_mul(q, k), reference_mul(q, k));
+}
+
+class P256Differential : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    std::printf("p256 differential seed: WATZ_P256_SEED=0x%llx\n",
+                static_cast<unsigned long long>(differential_seed()));
+    rng_.seed(differential_seed());
+    q_ = reference_mul(generator(), random_valid_scalar(rng_));
+    ASSERT_TRUE(p256_on_curve(q_));
+  }
+
+  std::mt19937_64 rng_;
+  EcPoint q_;
+};
+
+TEST_F(P256Differential, EdgeScalarsMatchReference) {
+  SCOPED_TRACE(::testing::Message() << "WATZ_P256_SEED=0x" << std::hex << differential_seed());
+  std::vector<Scalar32> scalars;
+  for (std::uint64_t v : {1, 2, 15, 16, 17}) scalars.push_back(small_scalar(v));
+  // 16^i and 16^i - 1: digit boundaries of the comb rows and window table.
+  for (int i : {1, 2, 8, 15, 16, 31, 32, 47, 63}) {
+    scalars.push_back(pow2(4 * i));
+    scalars.push_back(low_ones(4 * i));
+  }
+  // Long runs of zero digits between nonzero ones.
+  scalars.push_back(scalar_from_hex(
+      "8000000000000000000000000000000000000000000000000000000000000001"));
+  scalars.push_back(scalar_from_hex(
+      "0000000f00000000000000000000000000000000f00000000000000000000000"));
+  scalars.push_back(scalar_from_hex(
+      "a00000000000000000000000000000000000000000000000000000000000000b"));
+  // Top of the range: n-1 = -1, n-2 = -2, and the halves around n/2.
+  const Scalar32 n_minus_1 = minus_small(kOrderN, 1);
+  scalars.push_back(n_minus_1);
+  scalars.push_back(minus_small(kOrderN, 2));
+  scalars.push_back(half(n_minus_1));                                  // (n-1)/2
+  scalars.push_back(scalar_add_mod_n(half(n_minus_1), small_scalar(1)));  // (n+1)/2
+  for (const Scalar32& k : scalars) expect_matches_reference(k, q_);
+}
+
+TEST_F(P256Differential, RandomScalarsMatchReference) {
+  SCOPED_TRACE(::testing::Message() << "WATZ_P256_SEED=0x" << std::hex << differential_seed());
+  for (int i = 0; i < 16; ++i) expect_matches_reference(random_valid_scalar(rng_), q_);
 }
 
 }  // namespace
