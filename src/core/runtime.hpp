@@ -66,6 +66,8 @@ struct JitTierOptions {
   bool enabled = true;
   /// Per-function call count before background compilation is queued.
   std::uint32_t hot_threshold = 64;
+
+  bool operator==(const JitTierOptions&) const = default;
 };
 
 /// The cacheable product of the expensive launch phases: measured bytecode

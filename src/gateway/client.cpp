@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
+#include <optional>
+#include <span>
 #include <thread>
 
 namespace watz::gateway {
@@ -159,35 +160,6 @@ Result<LoadModuleResponse> GatewayClient::load_module(std::uint64_t session_id,
   return LoadModuleResponse::decode(*payload);
 }
 
-Result<InvokeResponse> GatewayClient::invoke(const InvokeRequest& request) {
-  const Bytes frame = request.encode();
-  for (int attempt = 0;; ++attempt) {
-    auto payload = call(frame);
-    if (payload.ok()) return InvokeResponse::decode(*payload);
-    // QUEUE_FULL is backpressure, not failure: back off (jittered, growing)
-    // and re-admit instead of the old busy-poll. Anything else is final.
-    if (!is_queue_full(payload.error()) || attempt >= backoff_.max_retries)
-      return Result<InvokeResponse>::err(payload.error());
-    backoff_sleep(attempt);
-  }
-}
-
-Result<SubmitResponse> GatewayClient::submit(const InvokeRequest& request) {
-  auto payload = call(SubmitRequest{request}.encode());
-  if (!payload.ok()) return Result<SubmitResponse>::err(payload.error());
-  return SubmitResponse::decode(*payload);
-}
-
-Result<PollResponse> GatewayClient::poll(std::uint64_t session_id,
-                                         std::uint64_t ticket) {
-  PollRequest request;
-  request.session_id = session_id;
-  request.ticket = ticket;
-  auto payload = call(request.encode());
-  if (!payload.ok()) return Result<PollResponse>::err(payload.error());
-  return PollResponse::decode(*payload);
-}
-
 // -- async client API --------------------------------------------------------
 
 namespace {
@@ -247,45 +219,46 @@ std::future<Result<LoadModuleResponse>> GatewayClient::load_async(
   return future;
 }
 
-std::future<Result<InvokeResponse>> GatewayClient::invoke_async(
-    const InvokeRequest& request) {
-  auto promise = std::make_shared<std::promise<Result<InvokeResponse>>>();
-  auto future = promise->get_future();
-  if (!connected_) {
-    promise->set_value(Result<InvokeResponse>::err("gateway client: not connected"));
-    return future;
-  }
-  enqueue_completion(fabric_.send_async(conn_, request.encode()),
-                     [promise](Result<Bytes> wire) {
-                       fulfil_async(promise, wire, &InvokeResponse::decode);
-                     });
-  return future;
+// -- invoke ------------------------------------------------------------------
+
+namespace {
+
+constexpr std::size_t kChunk = GatewayClient::kInvokeBatchChunk;
+
+/// Encodes one chunk of requests: a lone request as an INVOKE frame, more
+/// as an INVOKE_BATCH frame whose lane ids are positions within the chunk.
+Bytes encode_chunk(std::span<const InvokeRequest> chunk) {
+  if (chunk.size() == 1) return chunk.front().encode();
+  InvokeBatchRequest batch;
+  batch.lanes.reserve(chunk.size());
+  for (std::size_t i = 0; i < chunk.size(); ++i)
+    batch.lanes.push_back(
+        InvokeBatchRequest::Lane{static_cast<std::uint32_t>(i), chunk[i]});
+  return batch.encode();
 }
 
-std::vector<Bytes> GatewayClient::invoke_chunk_frames(
-    const std::vector<InvokeRequest>& requests) {
+/// Encodes `requests` as one frame per chunk of kInvokeBatchChunk.
+std::vector<Bytes> encode_chunks(const std::vector<InvokeRequest>& requests) {
   std::vector<Bytes> frames;
-  for (std::size_t start = 0; start < requests.size(); start += kInvokeBatchChunk) {
-    InvokeBatchRequest chunk;
-    const std::size_t end = std::min(requests.size(), start + kInvokeBatchChunk);
-    for (std::size_t i = start; i < end; ++i)
-      chunk.lanes.push_back(InvokeBatchRequest::Lane{
-          static_cast<std::uint32_t>(i - start), requests[i]});
-    frames.push_back(chunk.encode());
-  }
+  for (std::size_t base = 0; base < requests.size(); base += kChunk)
+    frames.push_back(encode_chunk(std::span(requests).subspan(
+        base, std::min(kChunk, requests.size() - base))));
   return frames;
 }
 
-void GatewayClient::deliver_invoke_chunk(
-    const Result<Bytes>& reply, std::size_t chunk_size,
-    const std::function<void(std::size_t, Result<InvokeResponse>)>& deliver) {
-  // A chunk-level failure (transport, envelope, malformed frame) becomes a
-  // per-request error at every index the chunk carried: sibling chunks may
-  // already have executed server-side, so swallowing the whole batch would
-  // lose their results.
+/// Maps one chunk's wire reply onto its requests' results through
+/// `deliver(index_within_chunk, result)`, exactly once per index. A
+/// chunk-level failure (transport, envelope, malformed frame) becomes an
+/// error at every index the chunk carried: sibling chunks may already
+/// have executed server-side, so swallowing the whole batch would lose
+/// their results.
+template <typename Deliver>
+void deliver_chunk(const Result<Bytes>& reply, std::size_t chunk_size,
+                   Deliver&& deliver) {
+  using R = Result<InvokeResponse>;
   const auto fail_chunk = [&](const std::string& error) {
     for (std::size_t i = 0; i < chunk_size; ++i)
-      deliver(i, Result<InvokeResponse>::err(error));
+      deliver(i, R::err(error));
   };
   if (!reply.ok()) {
     fail_chunk(reply.error());
@@ -294,6 +267,10 @@ void GatewayClient::deliver_invoke_chunk(
   auto payload = open_envelope(*reply);
   if (!payload.ok()) {
     fail_chunk(payload.error());
+    return;
+  }
+  if (chunk_size == 1) {
+    deliver(0, InvokeResponse::decode(*payload));
     return;
   }
   auto chunk = InvokeBatchResponse::decode(*payload);
@@ -309,42 +286,68 @@ void GatewayClient::deliver_invoke_chunk(
     // not scribble over a sibling's slot.
     if (result.lane >= chunk_size || delivered[result.lane]) continue;
     delivered[result.lane] = true;
-    deliver(result.lane, result.ok()
-                             ? Result<InvokeResponse>(std::move(result.result))
-                             : Result<InvokeResponse>::err(result.error));
+    deliver(result.lane, result.ok() ? R(std::move(result.result)) : R::err(result.error));
   }
   for (std::size_t i = 0; i < chunk_size; ++i)
     if (!delivered[i])
-      deliver(i, Result<InvokeResponse>::err(
-                     "gateway client: invoke batch reply missing lane"));
+      deliver(i, R::err("gateway client: invoke batch reply missing lane"));
+}
+
+}  // namespace
+
+Result<InvokeResponse> GatewayClient::invoke(const InvokeRequest& request) {
+  // Synchronous on the calling thread: no hop through the drain thread.
+  const Bytes frame = encode_chunk({&request, 1});
+  for (int attempt = 0;; ++attempt) {
+    std::optional<Result<InvokeResponse>> result;
+    deliver_chunk(connected_ ? fabric_.send_recv(conn_, frame)
+                             : Result<Bytes>::err("gateway client: not connected"),
+                  1, [&](std::size_t, Result<InvokeResponse> r) {
+                    result.emplace(std::move(r));
+                  });
+    // QUEUE_FULL is backpressure, not failure: back off (jittered, growing)
+    // and re-admit. Anything else is final.
+    if (result->ok() || !is_queue_full(result->error()) ||
+        attempt >= backoff_.max_retries)
+      return std::move(*result);
+    backoff_sleep(attempt);
+  }
+}
+
+std::future<Result<InvokeResponse>> GatewayClient::invoke_async(
+    const InvokeRequest& request) {
+  auto promise = std::make_shared<std::promise<Result<InvokeResponse>>>();
+  auto future = promise->get_future();
+  if (!connected_) {
+    promise->set_value(Result<InvokeResponse>::err("gateway client: not connected"));
+    return future;
+  }
+  enqueue_completion(fabric_.send_async(conn_, encode_chunk({&request, 1})),
+                     [promise](Result<Bytes> wire) {
+                       deliver_chunk(wire, 1,
+                                     [&](std::size_t, Result<InvokeResponse> r) {
+                                       promise->set_value(std::move(r));
+                                     });
+                     });
+  return future;
 }
 
 std::vector<Result<InvokeResponse>> GatewayClient::invoke_all(
     const std::vector<InvokeRequest>& requests) {
   std::vector<Result<InvokeResponse>> results(
-      requests.size(),
-      Result<InvokeResponse>::err("gateway client: not submitted"));
-  if (requests.empty()) return results;
-  if (!connected_) {
-    for (auto& result : results)
-      result = Result<InvokeResponse>::err("gateway client: not connected");
-    return results;
-  }
+      requests.size(), Result<InvokeResponse>::err("gateway client: not connected"));
+  if (requests.empty() || !connected_) return results;
   // Chunk, then pipeline every chunk as a concurrent exchange on the one
   // connection: wall-clock is the slowest chunk, and the gateway fans each
-  // chunk's lanes across its workers in one admission pass — O(1) wire
-  // exchanges in the batch size instead of SUBMIT/POLL's per-item round
-  // trips.
+  // chunk's lanes across its workers in one admission pass.
   std::vector<Result<Bytes>> replies =
-      fabric_.exchange_all(conn_, invoke_chunk_frames(requests));
+      fabric_.exchange_all(conn_, encode_chunks(requests));
   for (std::size_t c = 0; c < replies.size(); ++c) {
-    const std::size_t base = c * kInvokeBatchChunk;
-    const std::size_t chunk_size =
-        std::min(kInvokeBatchChunk, requests.size() - base);
-    deliver_invoke_chunk(replies[c], chunk_size,
-                         [&](std::size_t i, Result<InvokeResponse> result) {
-                           results[base + i] = std::move(result);
-                         });
+    const std::size_t base = c * kChunk;
+    deliver_chunk(replies[c], std::min(kChunk, requests.size() - base),
+                  [&](std::size_t i, Result<InvokeResponse> result) {
+                    results[base + i] = std::move(result);
+                  });
   }
   return results;
 }
@@ -357,106 +360,20 @@ Status GatewayClient::invoke_batch_async(const std::vector<InvokeRequest>& reque
   // Every chunk rides its own send_async exchange; the drain thread maps
   // each reply back to per-request callbacks as it lands. Nothing here
   // blocks on the gateway.
-  std::vector<Bytes> frames = invoke_chunk_frames(requests);
+  std::vector<Bytes> frames = encode_chunks(requests);
   for (std::size_t c = 0; c < frames.size(); ++c) {
-    const std::size_t base = c * kInvokeBatchChunk;
-    const std::size_t chunk_size =
-        std::min(kInvokeBatchChunk, requests.size() - base);
+    const std::size_t base = c * kChunk;
+    const std::size_t chunk_size = std::min(kChunk, requests.size() - base);
     enqueue_completion(
         fabric_.send_async(conn_, std::move(frames[c])),
         [on_complete, base, chunk_size](Result<Bytes> wire) {
-          deliver_invoke_chunk(wire, chunk_size,
-                               [&](std::size_t i, Result<InvokeResponse> result) {
-                                 on_complete(base + i, std::move(result));
-                               });
+          deliver_chunk(wire, chunk_size,
+                        [&](std::size_t i, Result<InvokeResponse> result) {
+                          on_complete(base + i, std::move(result));
+                        });
         });
   }
   return {};
-}
-
-std::vector<Result<InvokeResponse>> GatewayClient::invoke_batch(
-    const std::vector<InvokeRequest>& requests) {
-  std::vector<Result<InvokeResponse>> results(
-      requests.size(), Result<InvokeResponse>::err("gateway client: not submitted"));
-  std::map<std::uint64_t, std::size_t> outstanding;  // ticket -> request index
-
-  // Polls every outstanding ticket once — in ONE pipelined wire exchange
-  // (Fabric::exchange_all), not one round-trip per ticket: the server
-  // answers all the polls concurrently, so a drain pass costs the slowest
-  // single poll instead of their sum. A lone straggler skips the
-  // pipelining (and its exchange thread) for a plain blocking poll.
-  // Returns whether anything completed (progress for the backpressure
-  // loop).
-  const auto drain = [&]() {
-    if (outstanding.empty()) return false;
-    std::vector<std::uint64_t> tickets;
-    std::vector<Bytes> frames;
-    tickets.reserve(outstanding.size());
-    frames.reserve(outstanding.size());
-    for (const auto& [ticket, index] : outstanding) {
-      PollRequest poll_req;
-      poll_req.session_id = requests[index].session_id;
-      poll_req.ticket = ticket;
-      tickets.push_back(ticket);
-      frames.push_back(poll_req.encode());
-    }
-    std::vector<Result<Bytes>> replies;
-    if (frames.size() == 1)
-      replies.push_back(connected_ ? fabric_.send_recv(conn_, frames.front())
-                                   : Result<Bytes>::err(
-                                         "gateway client: not connected"));
-    else
-      replies = fabric_.exchange_all(conn_, std::move(frames));
-    bool progressed = false;
-    for (std::size_t i = 0; i < replies.size(); ++i) {
-      const auto it = outstanding.find(tickets[i]);
-      const std::size_t index = it->second;
-      auto payload = replies[i].ok() ? open_envelope(*replies[i])
-                                     : Result<Bytes>::err(replies[i].error());
-      auto polled = payload.ok() ? PollResponse::decode(*payload)
-                                 : Result<PollResponse>::err(payload.error());
-      if (!polled.ok()) {
-        results[index] = Result<InvokeResponse>::err(polled.error());
-        outstanding.erase(it);
-        progressed = true;
-        continue;
-      }
-      if (!polled->ready) continue;
-      results[index] = polled->error.empty()
-                           ? Result<InvokeResponse>(std::move(polled->result))
-                           : Result<InvokeResponse>::err(polled->error);
-      outstanding.erase(it);
-      progressed = true;
-    }
-    return progressed;
-  };
-
-  std::size_t next = 0;
-  int stalls = 0;  // consecutive drain passes with no completion
-  while (next < requests.size() || !outstanding.empty()) {
-    if (next < requests.size()) {
-      auto submitted = submit(requests[next]);
-      if (submitted.ok()) {
-        outstanding[submitted->ticket] = next++;
-        stalls = 0;
-        continue;  // pipeline: keep submitting while the gateway admits
-      }
-      if (!is_queue_full(submitted.error())) {
-        results[next++] = Result<InvokeResponse>::err(submitted.error());
-        continue;
-      }
-      // QUEUE_FULL backpressure: fall through and drain before retrying.
-    }
-    // Back off (jittered, growing with consecutive stalls) whenever a
-    // drain pass completes nothing — including when outstanding is empty
-    // but SUBMIT keeps bouncing (other clients own every slot). Progress
-    // resets the curve.
-    if (drain())
-      stalls = 0;
-    else
-      backoff_sleep(stalls++);
-  }
-  return results;
 }
 
 Result<GatewayStats> GatewayClient::stats(std::uint64_t session_id, bool detail) {

@@ -32,8 +32,7 @@ class GatewayClient {
  public:
   /// Retry policy for QUEUE_FULL backpressure: exponential backoff with
   /// full jitter (deterministic xorshift stream per client), replacing the
-  /// old busy-poll. `max_retries` bounds invoke()'s transparent retries;
-  /// invoke_batch uses the same curve between drain passes.
+  /// old busy-poll. `max_retries` bounds invoke()'s transparent retries.
   struct BackoffConfig {
     int max_retries = 8;
     std::uint64_t base_ns = 200'000;     ///< first sleep; doubles per retry
@@ -62,27 +61,22 @@ class GatewayClient {
   /// per-session verdicts (partial success is expected behaviour).
   Result<AttachBatchResponse> attach_all(const std::vector<std::string>& clients);
   Result<LoadModuleResponse> load_module(std::uint64_t session_id, ByteView binary);
-  /// Invokes, transparently absorbing up to max_retries QUEUE_FULL
-  /// rejections with jittered backoff. A still-full fleet surfaces the
-  /// final QUEUE_FULL error (is_queue_full()).
+
+  // -- invoke ----------------------------------------------------------------
+  // Four invoke methods over one chunk codec: a chunk of one request
+  // crosses the wire as an INVOKE frame, a larger chunk (up to
+  // kInvokeBatchChunk) as an INVOKE_BATCH frame, and every reply maps back
+  // onto one Result per request.
+
+  /// Invokes on the calling thread, transparently absorbing up to
+  /// max_retries QUEUE_FULL rejections with jittered backoff. A still-full
+  /// fleet surfaces the final QUEUE_FULL error (is_queue_full()).
   Result<InvokeResponse> invoke(const InvokeRequest& request);
-  /// Async pair: submit returns a ticket immediately (or QUEUE_FULL, see
-  /// is_queue_full); poll redeems it.
-  Result<SubmitResponse> submit(const InvokeRequest& request);
-  Result<PollResponse> poll(std::uint64_t session_id, std::uint64_t ticket);
-  /// Pipelined batch: keeps up to the gateway's admission bound in flight
-  /// via SUBMIT, absorbing QUEUE_FULL backpressure by draining completed
-  /// tickets — every outstanding ticket is polled in ONE pipelined
-  /// exchange per drain pass (Fabric::exchange_all), not one round-trip
-  /// per ticket — and returns one result per request, in order.
-  std::vector<Result<InvokeResponse>> invoke_batch(
-      const std::vector<InvokeRequest>& requests);
-  /// Batched invoke over INVOKE_BATCH frames: one wire exchange per chunk
-  /// of kInvokeBatchChunk requests (chunks pipelined concurrently via
-  /// Fabric::exchange_all), one result per request in order. O(1) wire
-  /// exchanges in the batch size — the amortisation invoke_batch's
-  /// SUBMIT-per-item path cannot reach. Partial success is the contract:
-  /// the call succeeds when the wire did; inspect each Result.
+  /// Batched invoke: one wire exchange per chunk of kInvokeBatchChunk
+  /// requests (chunks pipelined concurrently via Fabric::exchange_all),
+  /// one result per request in order — O(1) wire exchanges in the batch
+  /// size. Partial success is the contract: the call succeeds when the
+  /// wire did; inspect each Result.
   std::vector<Result<InvokeResponse>> invoke_all(
       const std::vector<InvokeRequest>& requests);
 
@@ -97,7 +91,7 @@ class GatewayClient {
   std::future<Result<LoadModuleResponse>> load_async(std::uint64_t session_id,
                                                      Bytes binary);
   std::future<Result<InvokeResponse>> invoke_async(const InvokeRequest& request);
-  /// Fully non-blocking batch: chunks `requests` into INVOKE_BATCH frames,
+  /// Fully non-blocking batch: chunks `requests` like invoke_all,
   /// fires every chunk as a concurrent Fabric::send_async exchange and
   /// returns immediately; `on_complete` fires once per request (index +
   /// result) on the drain thread. The chunks EXECUTE concurrently but
@@ -117,7 +111,7 @@ class GatewayClient {
   /// Names one ATTACH_BATCH frame carries; attach_all pipelines larger
   /// requests as concurrent chunk exchanges.
   static constexpr std::size_t kAttachBatchChunk = 32;
-  /// Invocations one INVOKE_BATCH frame carries; invoke_all and
+  /// Invocations one wire frame carries; invoke_all and
   /// invoke_batch_async pipeline larger batches as concurrent chunks.
   static constexpr std::size_t kInvokeBatchChunk = 32;
 
@@ -141,15 +135,6 @@ class GatewayClient {
   /// drains everything still queued before exiting, so no issued future
   /// or callback is ever abandoned.
   void drain_loop();
-  /// Encodes `requests` as INVOKE_BATCH chunk frames (lane i == position
-  /// within the chunk). Shared by invoke_all and invoke_batch_async.
-  static std::vector<Bytes> invoke_chunk_frames(
-      const std::vector<InvokeRequest>& requests);
-  /// Maps one chunk's wire-level reply onto per-request results via
-  /// `deliver(index_within_chunk, result)`.
-  static void deliver_invoke_chunk(
-      const Result<Bytes>& reply, std::size_t chunk_size,
-      const std::function<void(std::size_t, Result<InvokeResponse>)>& deliver);
 
   net::Fabric& fabric_;
   std::uint64_t conn_ = 0;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
+#include <string_view>
 #include <thread>
 
 #include "hw/clock.hpp"
@@ -28,8 +30,8 @@ bool is_appraisal_failure(const std::string& error) {
 
 /// The semantic identity of one invocation: measurement + entry + args +
 /// heap reservation. Two requests with equal keys run the same function on
-/// the same module with the same inputs — what both the INVOKE_BATCH rider
-/// machinery and the SUBMIT result memo deduplicate on.
+/// the same module with the same inputs — what both in-call rider dedup and
+/// the result memo key on.
 std::string invoke_dedup_key(const InvokeRequest& invoke) {
   std::string key(invoke.measurement.begin(), invoke.measurement.end());
   key += invoke.entry;
@@ -52,7 +54,6 @@ Gateway::Gateway(net::Fabric& fabric, GatewayConfig config, ByteView identity_se
       sessions_(config_.session_policy) {
   ra::ShardedVerifierConfig shard_config;
   shard_config.shards = config_.ra_shards;
-  shard_config.policy.session_key_reuse = config_.ra_session_key_reuse;
   shard_config.appraisal_latency_ns = config_.ra_appraisal_latency_ns;
   verifier_ = std::make_unique<ra::ShardedVerifier>(crypto::ecdsa_keygen(rng_),
                                                     identity_seed, shard_config);
@@ -158,15 +159,18 @@ Status Gateway::add_device(core::Device& device) {
     }
   }
   {
-    // Re-enrolment == reboot/board swap: swap in the (possibly new) device
-    // plus a fresh control (slot monitors), cache + attester RNG, and bump
-    // the boot count so cached evidence goes stale. Workers snapshot all
-    // of these under state_mu, so an invoke mid-flight across the
-    // "reboot" finishes on the old device + cache + monitors instead of
-    // racing the swap.
+    // Re-enrolment == reboot/board swap: swap in the (possibly new) device,
+    // a fresh cache + attester RNG, and bump the boot count so cached
+    // evidence goes stale. Workers snapshot all of these under state_mu,
+    // so an invoke mid-flight across the "reboot" finishes on the old
+    // cache instead of racing the swap. The control (TEE mutex + slot
+    // monitors) is per BOARD: a reboot of the same board keeps it, since a
+    // second mutex over its one primary monitor would let a mid-flight
+    // handshake and a new one enter that monitor at once.
     std::lock_guard<std::mutex> lock(backend->state_mu);
     backend->device = &device;
-    backend->control = std::make_shared<core::DeviceControl>(device, pool);
+    if (!backend->control || &backend->control->device() != &device)
+      backend->control = std::make_shared<core::DeviceControl>(device, pool);
     // The warm pool hands instances out per slot; widen the per-module
     // pool so every slot can park one (0 stays 0: pooling disabled).
     ModuleCacheConfig cache_config = config_.cache;
@@ -177,9 +181,11 @@ Status Gateway::add_device(core::Device& device) {
     // Fleet tiering knobs reach the device runtime BEFORE any module is
     // prepared through the fresh cache (TierSets are built at prepare()
     // time). jit_available() gates inside the runtime, so this is a no-op
-    // on non-x86-64 hosts / WATZ_DISABLE_JIT.
-    device.runtime().set_jit_options(
-        core::JitTierOptions{config_.jit_tiering, config_.jit_hot_calls});
+    // on non-x86-64 hosts / WATZ_DISABLE_JIT. Written only when they
+    // differ: a rebooted board's runtime may be mid-prepare on a slot
+    // worker, reading them.
+    const core::JitTierOptions jit{config_.jit_tiering, config_.jit_hot_calls};
+    if (device.runtime().jit_options() != jit) device.runtime().set_jit_options(jit);
     backend->cache = std::make_shared<ModuleCache>(device.runtime(), cache_config);
     backend->cache->bind_tier_metrics(&tier_up_compiles_, &native_entries_,
                                       &jit_fallback_ops_, &tier_compile_ns_hist_,
@@ -315,51 +321,6 @@ std::uint64_t Gateway::placement_cost(const Slot& slot) {
   return (depth + 1) * ewma;
 }
 
-std::vector<Gateway::Slot*> Gateway::placement_candidates(
-    std::uint64_t affinity_hint) {
-  std::vector<Slot*> order;
-  {
-    std::lock_guard<std::mutex> lock(backends_mu_);
-    order = slot_order_;
-  }
-  const std::size_t n = order.size();
-  // The session's warm slot leads the candidate list ONLY when idle:
-  // following the hint into a queue would convoy every repeat invoke of a
-  // hot session onto one slot and forfeit the pool.
-  Slot* warm = nullptr;
-  if (affinity_hint != 0 && affinity_hint <= n) {
-    Slot* hinted = order[affinity_hint - 1];
-    if (hinted->inflight.load(std::memory_order_relaxed) == 0) warm = hinted;
-  }
-  if (n < 2) {
-    if (warm && !order.empty() && order.front() != warm)
-      std::swap(order.front(), *std::find(order.begin(), order.end(), warm));
-    return order;
-  }
-
-  // Sampled two-choice: probe two distinct slots round-robin and take
-  // the cheaper by placement_cost (queue depth x EWMA slot latency,
-  // then accumulated busy time, then global slot order) — O(1) instead
-  // of a per-request sort, and provably near-optimal balance under load.
-  const std::uint64_t tick = placement_tick_.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t i = static_cast<std::size_t>(tick % n);
-  const std::size_t j = (i + 1 + static_cast<std::size_t>((tick / n) % (n - 1))) % n;
-  Slot* a = order[i];
-  Slot* b = order[j];
-  if (score_slot(*b) < score_slot(*a)) std::swap(a, b);
-
-  // Spill-over tail in global slot order, so appraisal failures and full
-  // queues walk the whole fleet rather than wedging the request.
-  std::vector<Slot*> candidates;
-  candidates.reserve(n);
-  if (warm) candidates.push_back(warm);
-  if (a != warm) candidates.push_back(a);
-  if (b != warm) candidates.push_back(b);
-  for (Slot* rest : order)
-    if (rest != a && rest != b && rest != warm) candidates.push_back(rest);
-  return candidates;
-}
-
 Gateway::ScoredSlot Gateway::score_slot(Slot& slot) {
   return ScoredSlot{placement_cost(slot),
                     slot.busy_ns.load(std::memory_order_relaxed),
@@ -379,8 +340,6 @@ Result<Bytes> Gateway::handle_request(std::uint64_t conn, ByteView request) {
     case Op::InvokeBatch: return handle_invoke_batch(request);
     case Op::Stats: return handle_stats(request);
     case Op::Detach: return handle_detach(request);
-    case Op::Submit: return handle_submit(request);
-    case Op::Poll: return handle_poll(request);
   }
   return Result<Bytes>::err("gateway: unknown opcode");
 }
@@ -548,418 +507,268 @@ Result<Bytes> Gateway::handle_load_module(ByteView request) {
   return ok_envelope(resp.encode());
 }
 
-Result<std::future<Result<InvokeResponse>>> Gateway::post_invoke(
-    Slot& slot, const SessionPtr& session, const InvokeRequest& request,
-    obs::TraceContext trace) {
-  const std::uint64_t admit_start = trace.active() ? hw::monotonic_ns() : 0;
-  auto promise = std::make_shared<std::promise<Result<InvokeResponse>>>();
-  auto future = promise->get_future();
-  Status admitted = post(
-      slot, [this, slot = &slot, session, request, trace,
-             promise](std::uint64_t queue_delay_ns) {
-        // Install the lane's trace for everything below this frame: the
-        // cache, the monitors, the wasm executor and (via the fabric's
-        // same-thread callback) the verifier shards all emit against it.
-        obs::ScopedTrace scope(trace.active() ? &span_sink_ : nullptr,
-                               trace.trace_id, trace.span_id);
-        auto outcome = execute_invoke(*slot, session, request, queue_delay_ns);
-        slot->inflight.fetch_sub(1, std::memory_order_release);
-        promise->set_value(std::move(outcome));
-      });
-  if (!admitted.ok())
-    return Result<std::future<Result<InvokeResponse>>>::err(admitted.error());
-  if (trace.active()) {
-    // Admission span, recorded by the dispatcher thread (the worker-side
-    // thread trace is not installed here): placement + enqueue, ending at
-    // the hand-off the Queue span picks up from.
-    obs::SpanRecord span;
-    span.trace_id = trace.trace_id;
-    span.span_id = obs::next_span_id();
-    span.parent_id = trace.span_id;
-    span.start_ns = admit_start;
-    span.dur_ns = hw::monotonic_ns() - admit_start;
-    span.stage = obs::Stage::Admit;
-    span.detail = static_cast<std::uint32_t>(slot.index);
-    span_sink_.record(span);
-  }
-  return future;
-}
-
-Result<InvokeResponse> Gateway::dispatch_invoke_sync(const SessionPtr& session,
-                                                     const InvokeRequest& request,
-                                                     obs::TraceContext trace) {
-  std::string last_error = "gateway: no devices enrolled";
-  // Migration detection: remember the first device that failed appraisal;
-  // a later success on a DIFFERENT device means this session was
-  // transparently re-placed onto a live board (its evidence for the new
-  // device is established by ensure_attested inside the work item).
-  std::string failed_device;
-  const std::uint64_t migrate_start = hw::monotonic_ns();
-  for (Slot* slot : placement_candidates(
-           session->affinity_slot.load(std::memory_order_relaxed))) {
-    auto future = post_invoke(*slot, session, request, trace);
-    if (!future.ok()) {
-      last_error = future.error();
-      continue;  // spill to the next candidate
-    }
-    auto result = future->get();
-    if (result.ok()) {
-      if (!failed_device.empty() && slot->backend->hostname != failed_device) {
-        migrations_.add();
-        if (trace.active()) {
-          obs::SpanRecord span;
-          span.trace_id = trace.trace_id;
-          span.span_id = obs::next_span_id();
-          span.parent_id = trace.span_id;
-          span.start_ns = migrate_start;
-          span.dur_ns = hw::monotonic_ns() - migrate_start;
-          span.stage = obs::Stage::Migrate;
-          span_sink_.record(span);
-        }
-      }
-      return result;
-    }
-    last_error = result.error();
-    // Trust decides placement: a device failing appraisal is skipped in
-    // favour of the next candidate rather than wedging the session.
-    if (!is_appraisal_failure(last_error))
-      return Result<InvokeResponse>::err(last_error);
-    if (failed_device.empty()) failed_device = slot->backend->hostname;
-  }
-  // Whatever the spill path visited, a QUEUE_FULL terminal answer means
-  // the client was bounced with backpressure: count it.
-  if (is_queue_full(last_error)) queue_full_rejections_.add();
-  return Result<InvokeResponse>::err(last_error);
-}
+// -- invoke admission --------------------------------------------------------
 
 Result<Bytes> Gateway::handle_invoke(ByteView request) {
   auto req = InvokeRequest::decode(request);
   if (!req.ok()) return Result<Bytes>::err(req.error());
-  SessionPtr session = sessions_.find(req->session_id);
-  if (!session) return Result<Bytes>::err("gateway: unknown session");
-
-  // Memo fast path: an identical invoke executed within the TTL and the
-  // trust gate passes (fresh evidence for the executing device, or this
-  // session produced the result itself) — answer without entering a
-  // sandbox. This is what makes a transport-level retry after a dropped
-  // or stalled response idempotent: the replayed request redeems the
-  // memoised result instead of executing a second time.
-  if (config_.invoke_memo_ttl_ns != 0) {
-    if (auto hit = memo_lookup(*session, *req)) {
-      session->invocations.fetch_add(1, std::memory_order_relaxed);
-      return ok_envelope(hit->encode());
-    }
-  }
-
-  obs::TraceContext trace;
-  trace.trace_id = maybe_trace(req->trace_id);
-  if (trace.active()) trace.span_id = obs::next_span_id();
-
-  auto result = dispatch_invoke_sync(session, *req, trace);
-  if (!result.ok()) {
-    if (is_queue_full(result.error())) return busy_envelope(result.error());
-    return Result<Bytes>::err(result.error());
-  }
-  if (!trace.active()) return ok_envelope(result->encode());
-  const std::uint64_t respond_start = hw::monotonic_ns();
-  auto payload = ok_envelope(result->encode());
-  obs::SpanRecord span;
-  span.trace_id = trace.trace_id;
-  span.span_id = obs::next_span_id();
-  span.parent_id = trace.span_id;
-  span.start_ns = respond_start;
-  span.dur_ns = hw::monotonic_ns() - respond_start;
-  span.stage = obs::Stage::Respond;
-  span_sink_.record(span);
-  return payload;
+  // A plain INVOKE is a one-lane batch: same admission, only the response
+  // framing differs — and total backpressure gets its own envelope status.
+  Result<InvokeResponse> result = std::move(admit_lanes({&*req, 1}).front());
+  if (result.ok()) return ok_envelope(result->encode());
+  if (is_queue_full(result.error())) return busy_envelope(result.error());
+  return Result<Bytes>::err(result.error());
 }
 
 Result<Bytes> Gateway::handle_invoke_batch(ByteView request) {
   auto req = InvokeBatchRequest::decode(request);
   if (!req.ok()) return Result<Bytes>::err(req.error());
+  std::vector<InvokeRequest> invokes;
+  invokes.reserve(req->lanes.size());
+  for (InvokeBatchRequest::Lane& lane : req->lanes)
+    invokes.push_back(std::move(lane.invoke));
+  std::vector<Result<InvokeResponse>> results = admit_lanes(invokes);
 
   InvokeBatchResponse resp;
-  resp.results.resize(req->lanes.size());
+  resp.results.resize(results.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    resp.results[i].lane = req->lanes[i].lane;
+    if (results[i].ok())
+      resp.results[i].result = std::move(*results[i]);
+    else
+      resp.results[i].error = results[i].error();
+  }
+  return ok_envelope(resp.encode());
+}
 
-  // One trace decision covers the whole batch — every traced lane shares
-  // the trace_id (its own root span), so the fan renders as ONE flame
-  // graph. A client-supplied lane id adopts the batch into that trace.
-  std::uint64_t wire_trace = 0;
-  for (const InvokeBatchRequest::Lane& lane : req->lanes)
-    if (lane.invoke.trace_id != 0) {
-      wire_trace = lane.invoke.trace_id;
-      break;
-    }
-  const std::uint64_t batch_trace = maybe_trace(wire_trace);
-
-  // One admission pass over one fleet snapshot: every lane is bound to
-  // the cheapest SLOT by placement_cost. Because post() bumps inflight
-  // at admission, lane k's pick already accounts for lanes 0..k-1 — the
-  // fan spreads by predicted completion time, not by hash. The common
-  // case is one O(slots) min-element per lane; only a full queue pays a
-  // sort to spill down the cost order. Futures are collected first and
-  // awaited after the whole pass, so the lanes execute concurrently
-  // across the slot workers.
-  //
-  // Cross-lane dedup: lanes sharing (measurement, entry, args, heap)
-  // execute once per batch — the first admitted lane is the LEADER, and a
-  // later twin whose session already holds fresh evidence for the
-  // leader's device becomes a RIDER: it is never admitted, it just fans
-  // the leader's result (the freshness gate keeps the trust decision per
-  // session — a rider with stale evidence executes normally and pays its
-  // own handshake).
+std::vector<Result<InvokeResponse>> Gateway::admit_lanes(
+    std::span<const InvokeRequest> lanes) {
+  using R = Result<InvokeResponse>;
+  std::vector<R> out(lanes.size(), R::err({}));  // every lane is answered below
   std::vector<Slot*> fleet;
   {
     std::lock_guard<std::mutex> lock(backends_mu_);
     fleet = slot_order_;
   }
-  struct PendingLane {
+  const bool memo = config_.invoke_memo_ttl_ns != 0;
+  // Each lane's dedup key is built at most once, and only when something
+  // reads it: the memo, or in-call dedup (which a lone lane cannot use).
+  std::vector<std::string> keys(memo || lanes.size() > 1 ? lanes.size() : 0);
+
+  // One trace decision covers the whole call: every traced lane shares the
+  // trace_id under its own root span, so a fan renders as ONE flame graph.
+  // A client-supplied lane id adopts the call into that trace.
+  std::uint64_t wire_trace = 0;
+  for (const InvokeRequest& lane : lanes)
+    if (lane.trace_id != 0) {
+      wire_trace = lane.trace_id;
+      break;
+    }
+  const std::uint64_t trace_id = maybe_trace(wire_trace);
+  // Dispatcher-side stage spans (admit, migrate, respond) end now.
+  const auto record_span = [this](const obs::TraceContext& trace, obs::Stage stage,
+                                  std::uint64_t start_ns, std::uint32_t detail) {
+    obs::SpanRecord span;
+    span.trace_id = trace.trace_id;
+    span.span_id = obs::next_span_id();
+    span.parent_id = trace.span_id;
+    span.start_ns = start_ns;
+    span.dur_ns = hw::monotonic_ns() - start_ns;
+    span.stage = stage;
+    span.detail = detail;
+    span_sink_.record(span);
+  };
+
+  // A lane admitted to a slot queue, plus the twins riding its result.
+  struct Admitted {
     std::size_t index = 0;
     SessionPtr session;
-    std::future<Result<InvokeResponse>> future;
-    std::string device;            ///< hostname the leader was admitted to
-    std::uint64_t boot_count = 0;  ///< at admission (freshness gate)
-    std::vector<std::size_t> riders;  ///< lane indexes riding this result
-    obs::TraceContext trace;          ///< batch trace_id + this lane's root
+    obs::TraceContext trace;  ///< call trace_id + this lane's root span
+    Slot* slot = nullptr;
+    std::future<R> future;
+    std::uint64_t boot_count = 0;  ///< of the device, at admission (riders)
+    std::vector<std::size_t> riders;
   };
-  std::vector<PendingLane> pending;
-  pending.reserve(req->lanes.size());
-  std::map<std::string, std::size_t> leaders;  // dedup key -> pending index
-  for (std::size_t i = 0; i < req->lanes.size(); ++i) {
-    const InvokeBatchRequest::Lane& lane = req->lanes[i];
-    resp.results[i].lane = lane.lane;
-    SessionPtr session = sessions_.find(lane.invoke.session_id);
-    if (!session) {
-      resp.results[i].error = "gateway: unknown session";
-      continue;
+
+  // Placement: the session's affinity slot leads while idle (its warm pool
+  // holds the instance; a busy warm slot must not collect a convoy), else
+  // the cheapest slot by a full scan, and a full queue spills down the
+  // sorted cost order. post() bumps inflight at once, so lane k's scores
+  // already see where lanes 0..k-1 landed. Slots of `failed` devices
+  // (appraisal failures of this lane) are skipped.
+  const auto place = [&](Admitted& lane,
+                         const std::vector<const Backend*>& failed) -> Status {
+    const std::uint64_t admit_start = lane.trace.active() ? hw::monotonic_ns() : 0;
+    const std::string* key = keys.empty() ? nullptr : &keys[lane.index];
+    const auto try_slot = [&](Slot& slot) -> Status {
+      auto promise = std::make_shared<std::promise<R>>();
+      std::future<R> future = promise->get_future();
+      // The item reads the request and its key in place: admission awaits
+      // every future it posts before `lanes` and `keys` go away.
+      Status posted = post(slot, [this, slot = &slot, session = lane.session,
+                                  &invoke = lanes[lane.index], key,
+                                  trace = lane.trace,
+                                  promise](std::uint64_t queue_delay_ns) {
+        // Install the lane's trace for everything below this frame: the
+        // cache, the monitors, the wasm executor and (via the fabric's
+        // same-thread callback) the verifier shards all emit against it.
+        obs::ScopedTrace scope(trace.active() ? &span_sink_ : nullptr,
+                               trace.trace_id, trace.span_id);
+        auto outcome = execute_invoke(*slot, session, invoke, key, queue_delay_ns);
+        slot->inflight.fetch_sub(1, std::memory_order_release);
+        promise->set_value(std::move(outcome));
+      });
+      if (!posted.ok()) return posted;
+      lane.slot = &slot;
+      lane.future = std::move(future);
+      if (lane.trace.active())
+        record_span(lane.trace, obs::Stage::Admit, admit_start,
+                    static_cast<std::uint32_t>(slot.index));
+      return posted;
+    };
+    const auto eligible = [&](const Slot* slot) {
+      return std::find(failed.begin(), failed.end(), slot->backend) == failed.end();
+    };
+
+    Status last = Status::err("gateway: no devices enrolled");
+    Slot* warm = nullptr;
+    const std::uint64_t hint = lane.session->affinity_slot.load(std::memory_order_relaxed);
+    if (hint != 0 && hint <= fleet.size() && eligible(fleet[hint - 1]) &&
+        fleet[hint - 1]->inflight.load(std::memory_order_relaxed) == 0) {
+      warm = fleet[hint - 1];
+      if ((last = try_slot(*warm)).ok()) return last;
     }
-    // Memo fast path, per lane: a lane whose invoke executed within the
-    // TTL (and whose session passes the trust gate) is answered at
-    // admission — it never becomes a leader or a rider. This is what
-    // makes client-side retry of REPORTED-FAILED lanes idempotent: a lane
-    // whose first delivery executed but whose response was lost re-enters
-    // here and redeems the memo instead of executing again.
-    if (config_.invoke_memo_ttl_ns != 0) {
-      if (auto hit = memo_lookup(*session, lane.invoke)) {
-        session->invocations.fetch_add(1, std::memory_order_relaxed);
-        resp.results[i].result = std::move(*hit);
+    std::vector<ScoredSlot> scored;
+    scored.reserve(fleet.size());
+    for (Slot* slot : fleet)
+      if (slot != warm && eligible(slot)) scored.push_back(score_slot(*slot));
+    if (scored.empty()) return last;
+    std::iter_swap(scored.begin(), std::min_element(scored.begin(), scored.end()));
+    if ((last = try_slot(*scored.front().slot)).ok()) return last;
+    std::sort(scored.begin() + 1, scored.end());
+    for (auto it = scored.begin() + 1; it != scored.end(); ++it)
+      if ((last = try_slot(*it->slot)).ok()) return last;
+    return last;
+  };
+
+  // The first pass admits every lane. Riders of a leader that failed or
+  // migrated re-enter in a second pass, alone (no dedup), where each makes
+  // its own trust decision.
+  std::vector<std::size_t> todo(lanes.size());
+  std::iota(todo.begin(), todo.end(), std::size_t{0});
+  for (bool dedup = lanes.size() > 1; !todo.empty(); dedup = false) {
+    std::vector<Admitted> admitted;
+    admitted.reserve(todo.size());
+    std::map<std::string_view, std::size_t> leaders;  // key -> admitted index
+    for (const std::size_t i : todo) {
+      SessionPtr session = sessions_.find(lanes[i].session_id);
+      if (!session) {
+        out[i] = R::err("gateway: unknown session");
         continue;
       }
-    }
-    const std::string key = invoke_dedup_key(lane.invoke);
-    const auto leader = leaders.find(key);
-    if (leader != leaders.end()) {
-      PendingLane& lead = pending[leader->second];
-      if (sessions_.has_fresh(*session, lead.device, lead.boot_count,
-                              hw::monotonic_ns())) {
-        lead.riders.push_back(i);
-        continue;
+      if (!keys.empty() && keys[i].empty()) keys[i] = invoke_dedup_key(lanes[i]);
+      // Memo: an identical invoke ran within the TTL and the trust gate
+      // passes — answered here, never admitted. This is what makes a
+      // retried delivery idempotent: a lane whose first delivery executed
+      // but whose response was lost redeems the result instead of running
+      // again.
+      if (memo) {
+        if (auto hit = memo_lookup(*session, keys[i])) {
+          session->invocations.fetch_add(1, std::memory_order_relaxed);
+          out[i] = std::move(*hit);
+          continue;
+        }
       }
-    }
-    obs::TraceContext lane_trace;
-    if (batch_trace != 0) {
-      lane_trace.trace_id = batch_trace;
-      lane_trace.span_id = obs::next_span_id();
-    }
-    std::string last_error = "gateway: no devices enrolled";
-    bool admitted = false;
-    if (!fleet.empty()) {
-      std::vector<ScoredSlot> scored;
-      scored.reserve(fleet.size());
-      for (Slot* slot : fleet) scored.push_back(score_slot(*slot));
-      // Common case: the cheapest slot admits (one O(slots) scan).
-      // Only a full queue pays the sort to spill down the cost order.
-      auto best = std::min_element(scored.begin(), scored.end());
-      std::iter_swap(scored.begin(), best);
-      std::size_t chosen = 0;
-      auto future =
-          post_invoke(*scored.front().slot, session, lane.invoke, lane_trace);
-      if (!future.ok()) {
-        last_error = future.error();
-        std::sort(scored.begin() + 1, scored.end());
-        for (std::size_t s = 1; s < scored.size(); ++s) {
-          auto retry =
-              post_invoke(*scored[s].slot, session, lane.invoke, lane_trace);
-          if (!retry.ok()) {
-            last_error = retry.error();
+      // Dedup: a twin of an admitted leader whose session already holds
+      // fresh evidence for the leader's device RIDES the leader's result
+      // (the freshness gate keeps the trust decision per session — a stale
+      // twin executes normally and pays its own handshake).
+      if (dedup) {
+        const auto leader = leaders.find(keys[i]);
+        if (leader != leaders.end()) {
+          Admitted& lead = admitted[leader->second];
+          if (sessions_.has_fresh(*session, lead.slot->backend->hostname,
+                                  lead.boot_count, hw::monotonic_ns())) {
+            lead.riders.push_back(i);
             continue;
           }
-          future = std::move(retry);
-          chosen = s;
+        }
+      }
+      Admitted lane;
+      lane.index = i;
+      lane.session = std::move(session);
+      if (trace_id != 0) lane.trace = {trace_id, obs::next_span_id()};
+      Status placed = place(lane, {});
+      if (!placed.ok()) {
+        // Total backpressure (or an empty fleet) fails THIS lane only; the
+        // client sees the failed index and owns the retry.
+        if (is_queue_full(placed.error())) queue_full_rejections_.add();
+        out[i] = R::err(placed.error());
+        continue;
+      }
+      if (dedup) {
+        {
+          std::lock_guard<std::mutex> lock(lane.slot->backend->state_mu);
+          lane.boot_count = lane.slot->backend->boot_count;
+        }
+        leaders.try_emplace(keys[i], admitted.size());
+      }
+      admitted.push_back(std::move(lane));
+    }
+
+    // Await after the whole pass, so the lanes execute concurrently across
+    // the slot workers.
+    std::vector<std::size_t> retry;
+    for (Admitted& lane : admitted) {
+      R outcome = lane.future.get();
+      // Trust decides placement: a lane whose device failed appraisal is
+      // re-admitted past every device that failed it — a session migration
+      // when it then lands on a live board.
+      std::vector<const Backend*> failed;
+      std::uint64_t migrate_start = 0;
+      while (!outcome.ok() && is_appraisal_failure(outcome.error())) {
+        if (failed.empty()) migrate_start = hw::monotonic_ns();
+        failed.push_back(lane.slot->backend);
+        Status again = place(lane, failed);
+        if (!again.ok()) {
+          // Nothing left to try keeps the appraisal error; backpressure
+          // replaces it.
+          if (is_queue_full(again.error())) {
+            queue_full_rejections_.add();
+            outcome = R::err(again.error());
+          }
           break;
         }
+        outcome = lane.future.get();
       }
-      if (future.ok()) {
-        PendingLane entry;
-        entry.index = i;
-        entry.session = session;
-        entry.future = std::move(*future);
-        entry.trace = lane_trace;
-        Backend* backend = scored[chosen].slot->backend;
-        entry.device = backend->hostname;
-        {
-          std::lock_guard<std::mutex> lock(backend->state_mu);
-          entry.boot_count = backend->boot_count;
+      const bool migrated = !failed.empty();
+      if (migrated && outcome.ok()) {
+        migrations_.add();
+        if (lane.trace.active())
+          record_span(lane.trace, obs::Stage::Migrate, migrate_start, 0);
+      }
+      const std::uint64_t respond_start = lane.trace.active() ? hw::monotonic_ns() : 0;
+      if (outcome.ok() && !migrated) {
+        // Riders fan the leader's execution: same results, zero RA traffic
+        // of their own (the freshness gate guaranteed their evidence).
+        for (const std::size_t rider : lane.riders) {
+          InvokeResponse copy = *outcome;
+          copy.ra_exchanges = 0;
+          out[rider] = std::move(copy);
         }
-        leaders.try_emplace(key, pending.size());
-        pending.push_back(std::move(entry));
-        admitted = true;
+        if (!lane.riders.empty()) deduped_lanes_.add(lane.riders.size());
+      } else {
+        // A failed OR migrated leader never speaks for its riders: they
+        // were freshness-gated against the device it left.
+        retry.insert(retry.end(), lane.riders.begin(), lane.riders.end());
       }
+      out[lane.index] = std::move(outcome);
+      if (lane.trace.active())
+        record_span(lane.trace, obs::Stage::Respond, respond_start, 0);
     }
-    if (!admitted) {
-      // Total backpressure (or an empty fleet) fails THIS lane only; its
-      // siblings were already admitted and proceed. The client sees the
-      // failed index and owns the retry.
-      if (is_queue_full(last_error)) queue_full_rejections_.add();
-      resp.results[i].error = last_error;
-    }
+    todo = std::move(retry);
   }
-
-  for (PendingLane& lane : pending) {
-    auto outcome = lane.future.get();
-    bool rerouted = false;
-    if (!outcome.ok() && is_appraisal_failure(outcome.error())) {
-      // Trust decides placement, on the batch path too: a lane that
-      // landed on a device failing appraisal is re-dispatched through the
-      // sync path, which skips appraisal failures candidate by candidate
-      // (same invariant as dispatch_invoke_sync for plain INVOKE). Rare —
-      // paid only by the affected lanes, after the healthy fan completed.
-      outcome = dispatch_invoke_sync(lane.session, req->lanes[lane.index].invoke,
-                                     lane.trace);
-      rerouted = true;
-    }
-    const std::uint64_t respond_start =
-        lane.trace.active() ? hw::monotonic_ns() : 0;
-    if (outcome.ok() && !rerouted) {
-      // Riders fan the leader's execution: same results, zero RA traffic
-      // of their own (the freshness gate at admission guaranteed their
-      // evidence).
-      for (const std::size_t rider : lane.riders) {
-        InvokeResponse copy = *outcome;
-        copy.ra_exchanges = 0;
-        resp.results[rider].result = std::move(copy);
-      }
-      if (!lane.riders.empty()) deduped_lanes_.add(lane.riders.size());
-    } else {
-      // A failed OR re-routed leader never speaks for its riders: the
-      // re-dispatch may have executed on a different device than the one
-      // the riders were freshness-gated against, so each rider re-enters
-      // the normal dispatch path alone — where ensure_attested makes its
-      // own per-session trust decision. Rare — the price of a trap or an
-      // appraisal failure, not of the happy path.
-      for (const std::size_t rider : lane.riders) {
-        SessionPtr rider_session =
-            sessions_.find(req->lanes[rider].invoke.session_id);
-        auto redo = rider_session
-                        ? dispatch_invoke_sync(rider_session,
-                                               req->lanes[rider].invoke)
-                        : Result<InvokeResponse>::err("gateway: unknown session");
-        if (redo.ok())
-          resp.results[rider].result = std::move(*redo);
-        else
-          resp.results[rider].error = redo.error();
-      }
-    }
-    if (outcome.ok())
-      resp.results[lane.index].result = std::move(*outcome);
-    else
-      resp.results[lane.index].error = outcome.error();
-    if (lane.trace.active()) {
-      // Per-lane Respond span: rider fan + result fold back into the
-      // batch response (the whole-batch encode is not attributable to one
-      // lane, so it stays outside the trace).
-      obs::SpanRecord span;
-      span.trace_id = lane.trace.trace_id;
-      span.span_id = obs::next_span_id();
-      span.parent_id = lane.trace.span_id;
-      span.start_ns = respond_start;
-      span.dur_ns = hw::monotonic_ns() - respond_start;
-      span.stage = obs::Stage::Respond;
-      span_sink_.record(span);
-    }
-  }
-  return ok_envelope(resp.encode());
-}
-
-Result<Bytes> Gateway::handle_submit(ByteView request) {
-  auto req = SubmitRequest::decode(request);
-  if (!req.ok()) return Result<Bytes>::err(req.error());
-  SessionPtr session = sessions_.find(req->invoke.session_id);
-  if (!session) return Result<Bytes>::err("gateway: unknown session");
-
-  // Memo fast path: an identical invoke executed within the TTL and this
-  // session trusts the device that ran it — hand out a pre-satisfied
-  // ticket, no admission, no sandbox. POLL redeems it like any other.
-  if (config_.invoke_memo_ttl_ns != 0) {
-    if (auto hit = memo_lookup(*session, req->invoke)) {
-      std::promise<Result<InvokeResponse>> ready;
-      ready.set_value(std::move(*hit));
-      const std::uint64_t ticket =
-          next_ticket_.fetch_add(1, std::memory_order_relaxed);
-      {
-        std::lock_guard<std::mutex> lock(pending_mu_);
-        pending_[ticket] = PendingInvoke{session->id, ready.get_future()};
-      }
-      session->invocations.fetch_add(1, std::memory_order_relaxed);
-      SubmitResponse resp;
-      resp.ticket = ticket;
-      return ok_envelope(resp.encode());
-    }
-  }
-
-  obs::TraceContext trace;
-  trace.trace_id = maybe_trace(req->invoke.trace_id);
-  if (trace.active()) trace.span_id = obs::next_span_id();
-
-  std::string last_error = "gateway: no devices enrolled";
-  for (Slot* slot : placement_candidates(
-           session->affinity_slot.load(std::memory_order_relaxed))) {
-    auto future = post_invoke(*slot, session, req->invoke, trace);
-    if (!future.ok()) {
-      last_error = future.error();
-      continue;  // spill past full queues
-    }
-    const std::uint64_t ticket =
-        next_ticket_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(pending_mu_);
-      pending_[ticket] = PendingInvoke{session->id, std::move(*future)};
-    }
-    SubmitResponse resp;
-    resp.ticket = ticket;
-    return ok_envelope(resp.encode());
-  }
-  if (is_queue_full(last_error)) {
-    queue_full_rejections_.add();
-    return busy_envelope(last_error);
-  }
-  return Result<Bytes>::err(last_error);
-}
-
-Result<Bytes> Gateway::handle_poll(ByteView request) {
-  auto req = PollRequest::decode(request);
-  if (!req.ok()) return Result<Bytes>::err(req.error());
-
-  PollResponse resp;
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    const auto it = pending_.find(req->ticket);
-    if (it == pending_.end())
-      return Result<Bytes>::err("gateway: unknown ticket");
-    if (it->second.session_id != req->session_id)
-      return Result<Bytes>::err("gateway: ticket belongs to another session");
-    if (it->second.result.wait_for(std::chrono::seconds(0)) !=
-        std::future_status::ready)
-      return ok_envelope(resp.encode());  // ready == false: poll again
-    auto result = it->second.result.get();
-    pending_.erase(it);
-    resp.ready = true;
-    if (result.ok())
-      resp.result = std::move(*result);
-    else
-      resp.error = result.error();
-  }
-  return ok_envelope(resp.encode());
+  return out;
 }
 
 // Runs on the slot's worker thread. The guest executes on the SLOT's
@@ -971,6 +780,7 @@ Result<Bytes> Gateway::handle_poll(ByteView request) {
 Result<InvokeResponse> Gateway::execute_invoke(Slot& slot,
                                                const SessionPtr& session,
                                                const InvokeRequest& request,
+                                               const std::string* memo_key,
                                                std::uint64_t queue_delay_ns) {
   using R = Result<InvokeResponse>;
   Backend& backend = *slot.backend;
@@ -1052,11 +862,18 @@ Result<InvokeResponse> Gateway::execute_invoke(Slot& slot,
   slot.busy_ns.fetch_add(service_ns, std::memory_order_relaxed);
   // EWMA (alpha = 1/8) of the slot's per-invoke service time, feeding
   // placement_cost. Plain load/store: only this slot's worker thread
-  // ever writes it (atomic only for the cross-thread placement reads).
+  // ever writes it (atomic only for the cross-thread placement reads). A
+  // sample counts for at most 4x the current mean: placement stops
+  // feeding a slot it prices high, so one outlier (a preempted host
+  // thread) could otherwise starve the slot for good — it would take no
+  // samples to correct the price. A board that really turned slow still
+  // climbs within a few invokes.
   const std::uint64_t prev_ewma =
       slot.ewma_invoke_ns.load(std::memory_order_relaxed);
+  const std::uint64_t sample =
+      prev_ewma ? std::min(service_ns, 4 * prev_ewma) : service_ns;
   slot.ewma_invoke_ns.store(
-      prev_ewma ? prev_ewma - prev_ewma / 8 + service_ns / 8 : service_ns,
+      prev_ewma ? prev_ewma - prev_ewma / 8 + sample / 8 : sample,
       std::memory_order_relaxed);
   slot.invocations.fetch_add(1, std::memory_order_relaxed);
   invocations_.add();
@@ -1106,19 +923,18 @@ Result<InvokeResponse> Gateway::execute_invoke(Slot& slot,
   resp.ra_exchanges = *exchanges;
   resp.queue_delay_ns = queue_delay_ns;
   resp.trace_id = obs::thread_trace().trace_id;
-  // Feed the result memo: a twin submitted within the TTL by any session
+  // Feed the result memo: a twin admitted within the TTL by any session
   // trusting this device rides this execution instead of its own — and a
   // chaos-replayed delivery of THIS request redeems it instead of
   // executing again.
-  if (config_.invoke_memo_ttl_ns != 0)
-    memo_store(request, resp, hostname, boot_count, session->id);
+  if (memo_key != nullptr && config_.invoke_memo_ttl_ns != 0)
+    memo_store(*memo_key, resp, hostname, boot_count, session->id);
   return resp;
 }
 
 std::optional<InvokeResponse> Gateway::memo_lookup(Session& session,
-                                                   const InvokeRequest& request) {
+                                                   const std::string& key) {
   const std::uint64_t now = hw::monotonic_ns();
-  const std::string key = invoke_dedup_key(request);
   auto hit = memo_.lookup(key, now, config_.invoke_memo_ttl_ns);
   if (!hit) return std::nullopt;
   InvokeMemo::Entry entry = std::move(*hit);
@@ -1145,8 +961,7 @@ std::optional<InvokeResponse> Gateway::memo_lookup(Session& session,
   return std::move(entry.response);
 }
 
-void Gateway::memo_store(const InvokeRequest& request,
-                         const InvokeResponse& response,
+void Gateway::memo_store(const std::string& key, const InvokeResponse& response,
                          const std::string& device, std::uint64_t boot_count,
                          std::uint64_t producer_session) {
   InvokeMemo::Entry entry;
@@ -1154,7 +969,7 @@ void Gateway::memo_store(const InvokeRequest& request,
   entry.device = device;
   entry.boot_count = boot_count;
   entry.producer_session = producer_session;
-  memo_.store(invoke_dedup_key(request), std::move(entry), hw::monotonic_ns());
+  memo_.store(key, std::move(entry), hw::monotonic_ns());
 }
 
 Result<attestation::Evidence> Gateway::run_handshake(Backend& backend) {
@@ -1516,21 +1331,10 @@ void Gateway::register_binary(const crypto::Sha256Digest& measurement, Bytes bin
 
 // -- session teardown --------------------------------------------------------
 
-bool Gateway::detach_session(std::uint64_t session_id, bool drop_tickets) {
-  // Order matters: mark the session closed FIRST so queued work items fail
-  // fast instead of executing against a half-dropped session. Workers
-  // fulfilling an erased ticket's promise are harmless — the promise's
-  // shared state outlives the table entry.
+bool Gateway::detach_session(std::uint64_t session_id) {
+  // Mark the session closed FIRST so queued work items fail fast instead
+  // of executing against a half-dropped session.
   if (!sessions_.detach(session_id)) return false;
-  if (drop_tickets) {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      if (it->second.session_id == session_id)
-        it = pending_.erase(it);
-      else
-        ++it;
-    }
-  }
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
     for (auto& [conn, ids] : conn_sessions_)
@@ -1548,7 +1352,7 @@ void Gateway::on_client_close(std::uint64_t conn) {
     ids = std::move(it->second);
     conn_sessions_.erase(it);
   }
-  for (std::uint64_t id : ids) detach_session(id, /*drop_tickets=*/true);
+  for (std::uint64_t id : ids) detach_session(id);
 }
 
 Result<Bytes> Gateway::handle_stats(ByteView request) {
@@ -1562,7 +1366,7 @@ Result<Bytes> Gateway::handle_stats(ByteView request) {
 Result<Bytes> Gateway::handle_detach(ByteView request) {
   auto req = DetachRequest::decode(request);
   if (!req.ok()) return Result<Bytes>::err(req.error());
-  if (!detach_session(req->session_id, /*drop_tickets=*/false))
+  if (!detach_session(req->session_id))
     return Result<Bytes>::err("gateway: unknown session");
   return ok_envelope({});
 }

@@ -30,12 +30,13 @@
 // core::DeviceControl. The warm instance pool is handed out per slot
 // (ModuleCache matches on the slot monitor), and sessions carry a soft
 // slot-affinity hint so repeat invokes reuse a warm instance. Dispatcher
-// handlers run on the calling client's thread and only ADMIT work: they
-// pick a SLOT by sampled two-choice load (queue depth x EWMA slot
-// latency, then busy time), enqueue a work item, and either wait for the
-// result (INVOKE) or hand back a ticket (SUBMIT/POLL). When every
-// eligible queue is at its bound the request is bounced with QUEUE_FULL
-// backpressure instead of being admitted unbounded. The per-device
+// handlers run on the calling client's thread and only ADMIT work: every
+// invoke — INVOKE is one lane, INVOKE_BATCH N — goes through one admission
+// function that places each lane on a SLOT (the session's idle affinity
+// slot, else the cheapest by queue depth x EWMA slot latency), enqueues a
+// work item and waits for the result. When every eligible queue is at its
+// bound the lane is bounced with QUEUE_FULL backpressure instead of being
+// admitted unbounded. The per-device
 // secure-heap budget stays SHARED across the pool: all slots charge one
 // TrustedOs heap and one ModuleCache budget.
 #pragma once
@@ -50,6 +51,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -78,7 +80,7 @@ struct GatewayConfig {
   /// on the resulting cold miss).
   std::size_t binary_registry_budget_bytes = 64 * 1024 * 1024;
   /// Bound of each slot's run queue (queued + executing work items).
-  /// INVOKE/SUBMIT admission past it answers QUEUE_FULL.
+  /// Invoke admission past it answers QUEUE_FULL.
   std::size_t worker_queue_capacity = 64;
   /// Sandbox slots per enrolled device: each slot is one
   /// core::SandboxSlot (own secure monitor) with its own worker thread
@@ -94,11 +96,12 @@ struct GatewayConfig {
   bool jit_tiering = true;
   /// Per-function call count before background native compilation.
   std::uint32_t jit_hot_calls = 64;
-  /// SUBMIT single-invoke dedup memo: a SUBMIT whose (measurement, entry,
-  /// args, heap) executed this recently — and whose session holds fresh
-  /// evidence for the executing device — is answered with the memoised
-  /// result instead of entering a sandbox (the async counterpart of the
-  /// INVOKE_BATCH rider machinery). 0 (default) disables the memo.
+  /// Invoke result memo: a lane whose (measurement, entry, args, heap)
+  /// executed this recently — and whose session holds fresh evidence for
+  /// the executing device, or produced the result itself — is answered
+  /// with the memoised result instead of entering a sandbox (the
+  /// cross-call counterpart of in-batch rider dedup, and the replay
+  /// absorber for retried deliveries). 0 (default) disables the memo.
   std::uint64_t invoke_memo_ttl_ns = 0;
   /// Background evidence renewal: re-attest session evidence at ~80% of
   /// SessionPolicy::evidence_ttl_ns (batched, on the control lane) so the
@@ -118,18 +121,14 @@ struct GatewayConfig {
   /// session id so attach storms from many devices appraise in parallel
   /// instead of serialising on one verifier lock.
   std::size_t ra_shards = 4;
-  /// Per-shard ephemeral keypair rotation window
-  /// (ra::VerifierPolicy::session_key_reuse; 1 = fresh keypair per
-  /// handshake, the full-PFS default).
-  std::uint64_t ra_session_key_reuse = 1;
   /// Modeled per-appraisal verifier latency, slept under the owning shard
   /// lock (see ra::ShardedVerifierConfig::appraisal_latency_ns). Bench
   /// knob; 0 (default) disables it.
   std::uint64_t ra_appraisal_latency_ns = 0;
-  /// Trace sampling: every Nth admitted INVOKE/SUBMIT decision (and every
-  /// Nth INVOKE_BATCH, whose lanes share one trace) records stage spans
-  /// into the gateway's SpanSink. 0 (default) = tracing off; a non-zero
-  /// trace_id on the wire request forces a trace regardless.
+  /// Trace sampling: every Nth INVOKE or INVOKE_BATCH (whose lanes share
+  /// one trace) records stage spans into the gateway's SpanSink.
+  /// 0 (default) = tracing off; a non-zero trace_id on the wire request
+  /// forces a trace regardless.
   std::uint64_t trace_sample_n = 0;
   /// Invocations whose end-to-end gateway residency (queueing included)
   /// exceeds this land in the slow-invoke ring dumped by STATS detail.
@@ -287,42 +286,32 @@ class Gateway {
   Result<AttachBatchResponse> attach_sessions(std::uint64_t conn,
                                               const std::vector<std::string>& clients);
   Result<Bytes> handle_load_module(ByteView request);
+  /// INVOKE and INVOKE_BATCH decode into lanes for admit_lanes; they differ
+  /// only in framing.
   Result<Bytes> handle_invoke(ByteView request);
-  /// INVOKE_BATCH: fans every lane across the per-slot run queues in one
-  /// admission pass (each lane takes the cheapest slot by placement_cost,
-  /// spilling past full queues), then waits for the whole fan to
-  /// complete. Lanes sharing (measurement, entry, args, heap) whose
-  /// sessions all hold fresh evidence for the leader's device execute
-  /// ONCE: the first such lane runs, the riders fan its result
-  /// (deduped_lanes counts them). Per-lane failures — unknown session,
-  /// total backpressure, appraisal, traps — report at that lane's index
-  /// while its siblings succeed.
   Result<Bytes> handle_invoke_batch(ByteView request);
-  Result<Bytes> handle_submit(ByteView request);
-  Result<Bytes> handle_poll(ByteView request);
   Result<Bytes> handle_stats(ByteView request);
   Result<Bytes> handle_detach(ByteView request);
+
+  /// The one invoke admission path; returns one result per lane, in
+  /// order. Per lane: session lookup, memo lookup, in-call dedup (a twin
+  /// whose session holds fresh evidence for an admitted leader's device
+  /// rides that leader's result; deduped_lanes counts riders), placement
+  /// (the session's idle affinity slot, else the cheapest ScoredSlot by a
+  /// full scan, spilling down the cost order past full queues), then —
+  /// once the whole pass is admitted, so lanes execute concurrently —
+  /// the await, re-admission past devices that fail appraisal (session
+  /// migration), the rider fan-out and the Respond span. Failures —
+  /// unknown session, total backpressure, appraisal, traps — report at
+  /// that lane's index while its siblings succeed.
+  std::vector<Result<InvokeResponse>> admit_lanes(std::span<const InvokeRequest> lanes);
 
   /// Fabric close hook for the dispatcher endpoint: a client that drops
   /// its connection implicitly detaches every session it attached over it,
   /// failing that session's queued work instead of racing it.
   void on_client_close(std::uint64_t conn);
-  /// Detach + unlink the conn mapping. `drop_tickets` additionally purges
-  /// the session's pending SUBMIT tickets: set on connection loss (nobody
-  /// is left to poll them), clear on explicit DETACH so the client can
-  /// still redeem the failures of its drained work items.
-  bool detach_session(std::uint64_t session_id, bool drop_tickets);
-
-  /// Placement candidates, best first: the session's idle affinity slot
-  /// when it has one, then a sampled two-choice pick (lower
-  /// placement_cost — queue depth x EWMA slot latency — then lower
-  /// accumulated busy time, then global slot order) followed by the
-  /// remaining slots as spill-over, so a slot that fails appraisal or a
-  /// full queue doesn't wedge the request. O(1) comparisons in the
-  /// common case — no per-request sort. `affinity_hint` is the session's
-  /// affinity_slot value (0 = none); the hinted slot leads ONLY when
-  /// currently idle — a busy warm slot must not collect a convoy.
-  std::vector<Slot*> placement_candidates(std::uint64_t affinity_hint = 0);
+  /// Detach + unlink the conn mapping.
+  bool detach_session(std::uint64_t session_id);
 
   /// Immutable placement snapshot of one slot: the three ranking keys
   /// read ONCE from the live atomics. Sorting/min-ing snapshots (instead
@@ -334,7 +323,7 @@ class Gateway {
     std::uint64_t busy = 0;   ///< accumulated busy time tie-break
     std::size_t order = 0;    ///< global slot-order tie-break
     Slot* slot = nullptr;
-    /// The one placement order both admission paths share.
+    /// The placement order: cheapest first.
     bool operator<(const ScoredSlot& other) const noexcept {
       if (cost != other.cost) return cost < other.cost;
       if (busy != other.busy) return busy < other.busy;
@@ -356,8 +345,8 @@ class Gateway {
   /// and/or sweep_tier_compiles().
   void renewal_loop();
 
-  /// Result-memo lookup (INVOKE, INVOKE_BATCH lanes and SUBMIT, gated on
-  /// invoke_memo_ttl_ns != 0): the memoised response for this invoke, if
+  /// Result-memo lookup (gated on invoke_memo_ttl_ns != 0): the memoised
+  /// response under `key` (invoke_dedup_key of the lane), if
   /// one was recorded within the TTL and the trust gate passes — either
   /// `session` holds fresh evidence for the device that executed it, or
   /// `session` IS the producer redeeming its own result (a retry after a
@@ -366,14 +355,15 @@ class Gateway {
   /// it — this is what absorbs duplicate deliveries without
   /// double-executing). Bumps invoke_memo_hits on a hit.
   std::optional<InvokeResponse> memo_lookup(Session& session,
-                                            const InvokeRequest& request);
-  /// Records a successful invoke outcome in the memo (TTL enabled only).
-  /// `producer_session` is the session whose invoke produced the result.
-  void memo_store(const InvokeRequest& request, const InvokeResponse& response,
+                                            const std::string& key);
+  /// Records a successful invoke outcome in the memo under `key` (TTL
+  /// enabled only). `producer_session` is the session whose invoke
+  /// produced the result.
+  void memo_store(const std::string& key, const InvokeResponse& response,
                   const std::string& device, std::uint64_t boot_count,
                   std::uint64_t producer_session);
 
-  /// The trace decision for one admitted request (or one whole batch):
+  /// The trace decision for one admission call (a whole batch):
   /// a non-zero wire id joins that trace; otherwise every trace_sample_n'th
   /// decision opens a fresh trace. Returns the trace id, 0 = untraced.
   std::uint64_t maybe_trace(std::uint64_t wire_trace_id);
@@ -387,28 +377,12 @@ class Gateway {
   /// DeviceControl TEE mutex), acquires a cached instance bound to the
   /// slot's monitor, invokes, releases clean exits back to the warm pool,
   /// and stamps the session's slot-affinity hint. Emits stage spans when
-  /// the posting dispatcher sampled this invocation into a trace.
+  /// the posting dispatcher sampled this invocation into a trace. A
+  /// successful result is memoised under `memo_key` when the memo is on.
   Result<InvokeResponse> execute_invoke(Slot& slot, const SessionPtr& session,
                                         const InvokeRequest& request,
+                                        const std::string* memo_key,
                                         std::uint64_t queue_delay_ns);
-
-  /// Admits an invoke to the best slot and returns its future, walking
-  /// spill-over candidates past full queues. On total backpressure returns
-  /// a QUEUE_FULL error. `sync` also re-admits to the next candidate when
-  /// a device fails appraisal (the async path reports the failure through
-  /// the ticket instead).
-  Result<InvokeResponse> dispatch_invoke_sync(const SessionPtr& session,
-                                              const InvokeRequest& request,
-                                              obs::TraceContext trace = {});
-
-  /// Posts an invoke work item to `slot` and returns the future its
-  /// worker will fulfil (QUEUE_FULL Status at the admission bound).
-  /// Shared by the sync INVOKE and async SUBMIT paths. A non-zero `trace`
-  /// rides the work item: the slot worker installs it as the thread's
-  /// trace so every layer below records into the gateway sink.
-  Result<std::future<Result<InvokeResponse>>> post_invoke(
-      Slot& slot, const SessionPtr& session, const InvokeRequest& request,
-      obs::TraceContext trace = {});
 
   /// Drives the attester side of the WaTZ protocol inside the device's TEE
   /// against this gateway's RA endpoint. Runs on a slot worker thread,
@@ -462,23 +436,13 @@ class Gateway {
   /// placement domain (slot global_id indexes into it). Stable pointers:
   /// slots are never destroyed while the gateway lives.
   std::vector<Slot*> slot_order_;
-  std::atomic<std::uint64_t> placement_tick_{0};
 
   std::mutex binaries_mu_;  // guards the LOAD_MODULE registry
   std::map<crypto::Sha256Digest, RegisteredBinary> binaries_;
   std::size_t binaries_bytes_ = 0;
   std::uint64_t binaries_tick_ = 0;
 
-  /// SUBMIT tickets awaiting POLL.
-  struct PendingInvoke {
-    std::uint64_t session_id = 0;
-    std::future<Result<InvokeResponse>> result;
-  };
-  std::mutex pending_mu_;
-  std::map<std::uint64_t, PendingInvoke> pending_;
-  std::atomic<std::uint64_t> next_ticket_{1};
-
-  /// Single-invoke result memo, keyed by the INVOKE_BATCH dedup key
+  /// Invoke result memo, keyed by the lane dedup key
   /// (measurement + entry + args + heap). Trust gating and hot-aware
   /// eviction live in InvokeMemo; the gateway applies the trust gate in
   /// memo_lookup before note_hit. Bounded at kInvokeMemoCap.
@@ -499,15 +463,15 @@ class Gateway {
   /// per-slot counters record the individual bounces).
   obs::Counter& queue_full_rejections_ =
       registry_.counter("gateway.queue_full_rejections");
-  /// INVOKE_BATCH lanes answered by riding a sibling's execution.
+  /// Lanes answered by riding a sibling lane's execution.
   obs::Counter& deduped_lanes_ = registry_.counter("gateway.deduped_lanes");
   /// Evidences re-proved ahead of TTL by the renewal sweep.
   obs::Counter& evidence_renewals_ =
       registry_.counter("gateway.evidence_renewals");
-  /// Requests answered from the single-invoke result memo.
+  /// Lanes answered from the invoke result memo.
   obs::Counter& invoke_memo_hits_ =
       registry_.counter("gateway.invoke_memo_hits");
-  /// Sync invokes transparently re-placed onto a DIFFERENT device after
+  /// Lanes transparently re-placed onto a DIFFERENT device after
   /// their first-choice device failed appraisal (reboot storm, expired
   /// evidence, dead link) — the session-migration counter the chaos suite
   /// asserts on.
@@ -541,7 +505,7 @@ class Gateway {
   obs::Histogram& stage_tee_exit_hist_ = registry_.histogram("stage.tee_exit");
   obs::Histogram& stage_ra_hist_ = registry_.histogram("stage.ra");
   /// Sampling clock for maybe_trace (counts trace DECISIONS, not lanes:
-  /// one tick per INVOKE/SUBMIT and one per INVOKE_BATCH).
+  /// one tick per INVOKE or INVOKE_BATCH).
   std::atomic<std::uint64_t> trace_tick_{0};
   /// Slow-invoke ring: the last kSlowInvokeRing invocations that overran
   /// GatewayConfig::slow_invoke_threshold_ns, oldest evicted first.

@@ -1,16 +1,16 @@
-// The single-invoke result memo: a bounded, TTL'd map from the invoke
+// The invoke result memo: a bounded, TTL'd map from the invoke
 // dedup key (measurement + entry + args + heap) to the most recent
 // successful response, remembering WHICH device produced it at WHAT boot
 // count and FOR WHICH session.
 //
 // Two duties since the chaos work:
 //
-//   * Amortisation (the original SUBMIT fast path): a twin submitted
-//     within the TTL by a session trusting the producing device rides the
-//     memoised result instead of entering a sandbox.
+//   * Amortisation: a twin admitted within the TTL by a session trusting
+//     the producing device rides the memoised result instead of entering
+//     a sandbox.
 //
-//   * Replay absorption (exactly-once under failure): INVOKE and
-//     INVOKE_BATCH lanes consult the memo before admission, so a client
+//   * Replay absorption (exactly-once under failure): every invoke lane
+//     consults the memo before admission, so a client
 //     retrying a request whose RESPONSE was lost in flight (the fabric
 //     stall fault — the sandbox ran, the reply didn't arrive) redeems the
 //     recorded result instead of executing again. The producer_session
@@ -24,7 +24,7 @@
 // stalest last-touch breaking ties — a measurement the fleet keeps
 // re-deduplicating stays resident while one-shot results cycle out
 // (previously eviction was purely stalest-first, so a burst of one-shot
-// SUBMITs could flush the hottest entry).
+// invokes could flush the hottest entry).
 //
 // Thread safety: every method locks the internal mutex; the gateway's
 // evidence trust gate runs OUTSIDE it (lookup returns a copy, note_hit

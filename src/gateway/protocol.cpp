@@ -89,11 +89,18 @@ Result<ByteReader> open_request(ByteView data, Op expected) {
 
 Result<Op> peek_op(ByteView request) {
   if (request.empty()) return Result<Op>::err("gateway: empty request");
-  const std::uint8_t op = request[0];
-  if (op < static_cast<std::uint8_t>(Op::Attach) ||
-      op > static_cast<std::uint8_t>(Op::InvokeBatch))
-    return Result<Op>::err("gateway: unknown opcode " + std::to_string(op));
-  return static_cast<Op>(op);
+  const auto op = static_cast<Op>(request[0]);
+  switch (op) {
+    case Op::Attach:
+    case Op::LoadModule:
+    case Op::Invoke:
+    case Op::Stats:
+    case Op::Detach:
+    case Op::AttachBatch:
+    case Op::InvokeBatch:
+      return op;
+  }
+  return Result<Op>::err("gateway: unknown opcode " + std::to_string(request[0]));
 }
 
 Bytes ok_envelope(ByteView payload) {
@@ -504,83 +511,6 @@ Result<InvokeBatchResponse> InvokeBatchResponse::decode(ByteView data) {
     resp.results.push_back(std::move(result));
   }
   if (!r.at_end()) return R::err("gateway: trailing bytes after invoke batch");
-  return resp;
-}
-
-// -- Submit / Poll -----------------------------------------------------------
-
-Bytes SubmitRequest::encode() const {
-  Bytes out;
-  out.push_back(static_cast<std::uint8_t>(Op::Submit));
-  invoke.encode_fields(out);
-  return out;
-}
-
-Result<SubmitRequest> SubmitRequest::decode(ByteView data) {
-  auto r = open_request(data, Op::Submit);
-  if (!r.ok()) return Result<SubmitRequest>::err(r.error());
-  auto invoke = InvokeRequest::decode_fields(*r);
-  if (!invoke.ok()) return Result<SubmitRequest>::err(invoke.error());
-  return SubmitRequest{std::move(*invoke)};
-}
-
-Bytes SubmitResponse::encode() const {
-  Bytes out;
-  put_u64le(out, ticket);
-  return out;
-}
-
-Result<SubmitResponse> SubmitResponse::decode(ByteView data) {
-  if (data.size() != 8) return Result<SubmitResponse>::err("gateway: bad submit response");
-  return SubmitResponse{get_u64le(data.data())};
-}
-
-Bytes PollRequest::encode() const {
-  Bytes out;
-  out.push_back(static_cast<std::uint8_t>(Op::Poll));
-  put_u64le(out, session_id);
-  put_u64le(out, ticket);
-  return out;
-}
-
-Result<PollRequest> PollRequest::decode(ByteView data) {
-  auto r = open_request(data, Op::Poll);
-  if (!r.ok()) return Result<PollRequest>::err(r.error());
-  PollRequest req;
-  auto session = read_u64(*r);
-  if (!session.ok()) return Result<PollRequest>::err(session.error());
-  req.session_id = *session;
-  auto ticket = read_u64(*r);
-  if (!ticket.ok()) return Result<PollRequest>::err(ticket.error());
-  req.ticket = *ticket;
-  return req;
-}
-
-Bytes PollResponse::encode() const {
-  Bytes out;
-  out.push_back(ready ? 1 : 0);
-  put_string(out, error);
-  // The result rides as the trailing payload, present only on success.
-  if (ready && error.empty()) append(out, result.encode());
-  return out;
-}
-
-Result<PollResponse> PollResponse::decode(ByteView data) {
-  ByteReader r(data);
-  PollResponse resp;
-  auto ready = r.read_u8();
-  if (!ready.ok()) return Result<PollResponse>::err(ready.error());
-  resp.ready = *ready != 0;
-  auto error = read_string(r);
-  if (!error.ok()) return Result<PollResponse>::err(error.error());
-  resp.error = std::move(*error);
-  if (resp.ready && resp.error.empty()) {
-    auto rest = r.read_bytes(r.remaining());
-    if (!rest.ok()) return Result<PollResponse>::err(rest.error());
-    auto result = InvokeResponse::decode(*rest);
-    if (!result.ok()) return Result<PollResponse>::err(result.error());
-    resp.result = std::move(*result);
-  }
   return resp;
 }
 

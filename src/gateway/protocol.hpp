@@ -12,15 +12,13 @@
 //               under the returned session id.
 //   LOAD_MODULE registers a Wasm binary; returns its SHA-256 measurement,
 //               the key for every later INVOKE and for the module cache.
-//   INVOKE      routes one invocation to the least-loaded device and waits
+//   INVOKE      routes one invocation to the least-loaded slot and waits
 //               for the result; the response reports where it ran and what
-//               the caches saved.
+//               the caches saved. The gateway admits it as a one-lane
+//               INVOKE_BATCH.
 //   STATS       gateway-wide and per-device counters.
 //   DETACH      drops the session (evidence cache included); queued work
 //               for the session fails rather than executing detached.
-//   SUBMIT      async INVOKE: admits the work item to a backend queue and
-//               returns a ticket immediately (or QUEUE_FULL backpressure).
-//   POLL        redeems a ticket: pending, or the completed result/error.
 //   INVOKE_BATCH
 //               N invocations in one wire exchange: the gateway fans the
 //               lanes across its per-slot run queues in one admission pass
@@ -32,9 +30,14 @@
 //               execute ONCE and fan the result (GatewayStats counts the
 //               riders in deduped_lanes).
 //
+// Opcodes 0x06/0x07 are retired (they carried the SUBMIT/POLL ticket pair)
+// and must not be reused: old clients may still send them, and the
+// dispatcher answers them as unknown opcodes, with an error envelope.
+//
 // Backpressure travels in the envelope status byte: when every eligible
-// backend run queue is at its bound, INVOKE/SUBMIT answer with status 0x02
-// (QUEUE_FULL) instead of admitting unbounded work.
+// slot run queue is at its bound, INVOKE answers with status 0x02
+// (QUEUE_FULL) instead of admitting unbounded work; an INVOKE_BATCH lane
+// reports the same QUEUE_FULL error at its index.
 #pragma once
 
 #include <string>
@@ -54,8 +57,6 @@ enum class Op : std::uint8_t {
   Invoke = 0x03,
   Stats = 0x04,
   Detach = 0x05,
-  Submit = 0x06,
-  Poll = 0x07,
   AttachBatch = 0x08,
   InvokeBatch = 0x09,
 };
@@ -177,7 +178,8 @@ struct InvokeRequest {
 
   Bytes encode() const;
   static Result<InvokeRequest> decode(ByteView data);
-  /// Opcode-independent field serialisation, shared with SubmitRequest.
+  /// Opcode-independent field serialisation, shared with INVOKE_BATCH
+  /// lanes.
   void encode_fields(Bytes& out) const;
   static Result<InvokeRequest> decode_fields(ByteReader& r);
 };
@@ -202,40 +204,6 @@ struct InvokeResponse {
 
   Bytes encode() const;
   static Result<InvokeResponse> decode(ByteView data);
-};
-
-/// Async submission: same fields as INVOKE, answered with a ticket instead
-/// of the result. The invocation itself completes on a backend worker and
-/// is redeemed with POLL.
-struct SubmitRequest {
-  InvokeRequest invoke;
-
-  Bytes encode() const;
-  static Result<SubmitRequest> decode(ByteView data);
-};
-
-struct SubmitResponse {
-  std::uint64_t ticket = 0;
-
-  Bytes encode() const;
-  static Result<SubmitResponse> decode(ByteView data);
-};
-
-struct PollRequest {
-  std::uint64_t session_id = 0;
-  std::uint64_t ticket = 0;
-
-  Bytes encode() const;
-  static Result<PollRequest> decode(ByteView data);
-};
-
-struct PollResponse {
-  bool ready = false;   ///< false: still queued/executing — poll again
-  std::string error;    ///< non-empty when the work item failed
-  InvokeResponse result;  ///< valid iff ready && error.empty()
-
-  Bytes encode() const;
-  static Result<PollResponse> decode(ByteView data);
 };
 
 /// Batched invoke: N invocations cross the wire in ONE exchange and fan
@@ -384,7 +352,7 @@ struct GatewayStats {
   std::uint64_t handshakes_reused = 0;
   std::uint64_t modules_registered = 0;
   std::uint64_t invocations = 0;
-  /// INVOKE/SUBMIT requests bounced with QUEUE_FULL backpressure.
+  /// Invoke lanes bounced with QUEUE_FULL backpressure.
   std::uint64_t queue_full_rejections = 0;
   /// INVOKE_BATCH lanes that rode a sibling lane's execution instead of
   /// running (same measurement/entry/args/heap, fresh evidence): answered
@@ -409,8 +377,8 @@ struct GatewayStats {
   std::uint64_t jit_fallback_conv = 0;
   std::uint64_t jit_fallback_call = 0;
   std::uint64_t jit_fallback_other = 0;
-  /// INVOKE/SUBMIT/INVOKE_BATCH lanes answered from the short-TTL
-  /// single-invoke result memo without entering a sandbox: twins riding a
+  /// Invoke lanes answered from the short-TTL result memo without
+  /// entering a sandbox: twins riding a
   /// recent execution, and retries whose first attempt executed but lost
   /// its response in flight (the exactly-once replay absorber).
   std::uint64_t invoke_memo_hits = 0;

@@ -240,7 +240,7 @@ TEST_F(GatewayPoolTest, BackgroundRenewalSweeperRuns) {
   EXPECT_TRUE(r.ok()) << r.error();
 }
 
-/// One slow device (2 ms device-side world switch) with a 2-slot pool and
+/// One slow device (25 ms device-side world switch) with a 2-slot pool and
 /// tiny queues: the detach-vs-pooled-invoke race has a deterministic
 /// window while both slots hold queued work.
 class GatewaySlowPoolTest : public GatewayPoolTest {
@@ -254,7 +254,7 @@ class GatewaySlowPoolTest : public GatewayPoolTest {
     core::DeviceConfig cfg = device_config("slow-pool-0", 0x71);
     cfg.latency.enabled = true;
     cfg.latency.device_side = true;
-    cfg.latency.smc_enter_ns = 2'000'000;
+    cfg.latency.smc_enter_ns = 25'000'000;
     cfg.latency.smc_leave_ns = 0;
     cfg.latency.supplicant_rpc_ns = 0;
     cfg.latency.time_rpc_ns = 0;
@@ -268,17 +268,17 @@ class GatewaySlowPoolTest : public GatewayPoolTest {
     ASSERT_TRUE(client_->connect(config.hostname, config.port).ok());
   }
 
-  PollResponse redeem(std::uint64_t session, std::uint64_t ticket) {
-    for (;;) {
-      auto polled = client_->poll(session, ticket);
-      if (!polled.ok()) {
-        PollResponse failed;
-        failed.ready = true;
-        failed.error = polled.error();
-        return failed;
-      }
-      if (polled->ready) return std::move(*polled);
+  /// Waits until the pool holds `n` items RIGHT NOW (queued + executing,
+  /// summed over its slots).
+  void WaitInflight(std::uint32_t n) {
+    for (int spin = 0; spin < 20000; ++spin) {
+      const GatewayStats stats = gateway_->stats();
+      std::uint32_t inflight = 0;
+      for (const SlotStats& slot : stats.devices[0].slots) inflight += slot.inflight;
+      if (inflight == n) return;
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
+    FAIL() << "pool never reached " << n << " in-flight items";
   }
 };
 
@@ -291,24 +291,22 @@ TEST_F(GatewaySlowPoolTest, DetachFailsQueuedPooledWorkOnEverySlot) {
   // Fill BOTH slots (one executing + one queued each), then detach while
   // all four are in flight: queued items on every slot must observe the
   // closed session and fail instead of executing against dropped state.
-  std::vector<std::uint64_t> tickets;
-  for (int i = 0; i < 4; ++i) {
-    auto submitted =
-        client_->submit(add_request(attach->session_id, load->measurement, i, i));
-    ASSERT_TRUE(submitted.ok()) << submitted.error();
-    tickets.push_back(submitted->ticket);
-  }
+  std::vector<std::future<Result<InvokeResponse>>> inflight;
+  for (int i = 0; i < 4; ++i)
+    inflight.push_back(
+        client_->invoke_async(add_request(attach->session_id, load->measurement, i, i)));
+  WaitInflight(4);
   ASSERT_TRUE(client_->detach(attach->session_id).ok());
   EXPECT_EQ(gateway_->sessions().active(), 0u);
 
-  // Every ticket resolves — completed (was already executing) or failed
+  // Every future resolves — completed (was already executing) or failed
   // with the detach — and nothing crashes or hangs.
   int detached = 0;
-  for (const std::uint64_t ticket : tickets) {
-    const PollResponse done = redeem(attach->session_id, ticket);
-    if (!done.error.empty()) {
-      EXPECT_NE(done.error.find("session detached"), std::string::npos)
-          << done.error;
+  for (auto& future : inflight) {
+    auto done = future.get();
+    if (!done.ok()) {
+      EXPECT_NE(done.error().find("session detached"), std::string::npos)
+          << done.error();
       ++detached;
     }
   }

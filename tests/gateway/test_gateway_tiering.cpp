@@ -1,8 +1,8 @@
-// Gateway-level native tiering + SUBMIT memo tests: heat counters trip
+// Gateway-level native tiering + invoke memo tests: heat counters trip
 // background compilation through Gateway::sweep_tier_compiles, native
 // entries are inherited by warm pool checkouts, the tiering counters ride
-// the STATS wire frame, and the single-invoke result memo answers twin
-// SUBMITs without entering a sandbox.
+// the STATS wire frame, and the invoke result memo answers a twin async
+// invoke without entering a sandbox.
 //
 // Every native-specific assertion is gated on wasm::jit::jit_available():
 // under WATZ_DISABLE_JIT (the CI fallback leg) or on non-x86-64 hosts the
@@ -87,21 +87,6 @@ class GatewayTieringTest : public ::testing::Test {
     return req;
   }
 
-  /// Polls a SUBMIT ticket to completion (bounded spin: the in-process
-  /// fabric makes results land in microseconds).
-  Result<InvokeResponse> redeem(std::uint64_t ticket) {
-    for (int spin = 0; spin < 20000; ++spin) {
-      auto poll = client_->poll(session_, ticket);
-      if (!poll.ok()) return Result<InvokeResponse>::err(poll.error());
-      if (poll->ready) {
-        if (!poll->error.empty()) return Result<InvokeResponse>::err(poll->error);
-        return std::move(poll->result);
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-    return Result<InvokeResponse>::err("test: poll timed out");
-  }
-
   net::Fabric fabric_;
   core::Vendor vendor_;
   std::vector<std::unique_ptr<core::Device>> devices_;
@@ -178,57 +163,32 @@ TEST_F(GatewayTieringTest, TieringCountersRideTheStatsWire) {
   }
 }
 
-TEST_F(GatewayTieringTest, SubmitMemoServesTwinWithoutExecuting) {
+TEST_F(GatewayTieringTest, AsyncMemoServesTwinWithoutExecuting) {
   GatewayConfig config;
   config.invoke_memo_ttl_ns = 60ull * 1'000'000'000;  // generous: no expiry here
   SetUpFleet(config);
   AttachAndLoad();
 
-  auto ticket = client_->submit(work_request(100));
-  ASSERT_TRUE(ticket.ok()) << ticket.error();
-  auto first = redeem(ticket->ticket);
+  auto first = client_->invoke_async(work_request(100)).get();
   ASSERT_TRUE(first.ok()) << first.error();
   EXPECT_EQ(first->results.front().i32(), 5050);
   const std::uint64_t executed = gateway_->stats().invocations;
 
-  // The twin rides the memo: same results, no new sandbox execution, and
-  // its pre-satisfied ticket is ready on the first poll.
-  auto twin = client_->submit(work_request(100));
+  // The twin rides the memo: same results, no new sandbox execution.
+  auto twin = client_->invoke_async(work_request(100)).get();
   ASSERT_TRUE(twin.ok()) << twin.error();
-  auto poll = client_->poll(session_, twin->ticket);
-  ASSERT_TRUE(poll.ok()) << poll.error();
-  ASSERT_TRUE(poll->ready);
-  ASSERT_TRUE(poll->error.empty()) << poll->error;
-  EXPECT_EQ(poll->result.results.front().i32(), 5050);
-  EXPECT_EQ(poll->result.ra_exchanges, 0u);
+  EXPECT_EQ(twin->results.front().i32(), 5050);
+  EXPECT_EQ(twin->ra_exchanges, 0u);
 
   GatewayStats stats = gateway_->stats();
   EXPECT_EQ(stats.invoke_memo_hits, 1u);
   EXPECT_EQ(stats.invocations, executed);  // nothing executed for the twin
 
   // Different arguments are a different semantic identity: full execution.
-  auto other = client_->submit(work_request(101));
+  auto other = client_->invoke_async(work_request(101)).get();
   ASSERT_TRUE(other.ok()) << other.error();
-  auto other_result = redeem(other->ticket);
-  ASSERT_TRUE(other_result.ok()) << other_result.error();
-  EXPECT_EQ(other_result->results.front().i32(), 5151);
+  EXPECT_EQ(other->results.front().i32(), 5151);
   EXPECT_EQ(gateway_->stats().invocations, executed + 1);
-}
-
-TEST_F(GatewayTieringTest, SubmitMemoOffByDefault) {
-  SetUpFleet(GatewayConfig{});
-  AttachAndLoad();
-
-  for (int i = 0; i < 2; ++i) {
-    auto ticket = client_->submit(work_request(7));
-    ASSERT_TRUE(ticket.ok()) << ticket.error();
-    auto r = redeem(ticket->ticket);
-    ASSERT_TRUE(r.ok()) << r.error();
-    EXPECT_EQ(r->results.front().i32(), 28);
-  }
-  GatewayStats stats = gateway_->stats();
-  EXPECT_EQ(stats.invoke_memo_hits, 0u);
-  EXPECT_EQ(stats.invocations, 2u);  // both executed, nothing memoised
 }
 
 }  // namespace
