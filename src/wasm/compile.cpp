@@ -1,9 +1,11 @@
 #include "wasm/compile.hpp"
 
+#include <array>
 #include <cstring>
 
 #include "common/leb128.hpp"
 #include "wasm/opcodes.hpp"
+#include "wasm/validator.hpp"
 
 namespace watz::wasm {
 
@@ -107,417 +109,574 @@ Result<std::size_t> find_block_end(ByteView code, std::size_t pos,
 
 namespace {
 
+using enum ValType;
+
+/// The spec's "Unknown" operand type: what a pop yields from the empty
+/// stack of an unreachable frame. It matches every expected type.
+constexpr ValType kUnknown = static_cast<ValType>(0);
+
+constexpr std::uint32_t kNone = UINT32_MAX;
 constexpr std::uint32_t kFixupTableFlag = 0x80000000u;
 
-struct Frame {
-  std::uint8_t kind;  // kBlock / kLoop / kIf / kElse
-  std::uint32_t entry_height = 0;
-  std::uint32_t arity = 0;
-  std::uint32_t loop_target = 0;
-  std::vector<std::uint32_t> end_fixups;  // instr index, or table index | flag
-  std::uint32_t else_fixup = UINT32_MAX;
+/// Signature of a pure numeric opcode: pops `arity` operands of type `in`,
+/// pushes one `out`. arity 0 marks a byte that is not a numeric opcode.
+struct NumericSig {
+  std::uint8_t arity = 0;
+  ValType in = kUnknown;
+  ValType out = kUnknown;
 };
 
-class Compiler {
+constexpr std::array<NumericSig, 256> make_numeric_sigs() {
+  std::array<NumericSig, 256> t{};
+  auto range = [&t](int lo, int hi, std::uint8_t arity, ValType in, ValType out) {
+    for (int op = lo; op <= hi; ++op) t[op] = NumericSig{arity, in, out};
+  };
+  range(kI32Eqz, kI32Eqz, 1, I32, I32);
+  range(kI32Eq, kI32GeU, 2, I32, I32);
+  range(kI64Eqz, kI64Eqz, 1, I64, I32);
+  range(kI64Eq, kI64GeU, 2, I64, I32);
+  range(kF32Eq, kF32Ge, 2, F32, I32);
+  range(kF64Eq, kF64Ge, 2, F64, I32);
+  range(kI32Clz, kI32Popcnt, 1, I32, I32);
+  range(kI32Add, kI32Rotr, 2, I32, I32);
+  range(kI64Clz, kI64Popcnt, 1, I64, I64);
+  range(kI64Add, kI64Rotr, 2, I64, I64);
+  range(kF32Abs, kF32Sqrt, 1, F32, F32);
+  range(kF32Add, kF32Copysign, 2, F32, F32);
+  range(kF64Abs, kF64Sqrt, 1, F64, F64);
+  range(kF64Add, kF64Copysign, 2, F64, F64);
+  range(kI32WrapI64, kI32WrapI64, 1, I64, I32);
+  range(kI32TruncF32S, kI32TruncF32U, 1, F32, I32);
+  range(kI32TruncF64S, kI32TruncF64U, 1, F64, I32);
+  range(kI64ExtendI32S, kI64ExtendI32U, 1, I32, I64);
+  range(kI64TruncF32S, kI64TruncF32U, 1, F32, I64);
+  range(kI64TruncF64S, kI64TruncF64U, 1, F64, I64);
+  range(kF32ConvertI32S, kF32ConvertI32U, 1, I32, F32);
+  range(kF32ConvertI64S, kF32ConvertI64U, 1, I64, F32);
+  range(kF32DemoteF64, kF32DemoteF64, 1, F64, F32);
+  range(kF64ConvertI32S, kF64ConvertI32U, 1, I32, F64);
+  range(kF64ConvertI64S, kF64ConvertI64U, 1, I64, F64);
+  range(kF64PromoteF32, kF64PromoteF32, 1, F32, F64);
+  range(kI32ReinterpretF32, kI32ReinterpretF32, 1, F32, I32);
+  range(kI64ReinterpretF64, kI64ReinterpretF64, 1, F64, I64);
+  range(kF32ReinterpretI32, kF32ReinterpretI32, 1, I32, F32);
+  range(kF64ReinterpretI64, kF64ReinterpretI64, 1, I64, F64);
+  range(kI32Extend8S, kI32Extend16S, 1, I32, I32);
+  range(kI64Extend8S, kI64Extend32S, 1, I64, I64);
+  return t;
+}
+
+constexpr std::array<NumericSig, 256> kNumericSigs = make_numeric_sigs();
+
+/// Value type and log2 natural alignment of the loads and stores, indexed
+/// by opcode - kI32Load.
+struct MemSig {
+  ValType type;
+  std::uint8_t align_log2;
+};
+
+constexpr MemSig kMemSigs[] = {
+    {I32, 2}, {I64, 3}, {F32, 2}, {F64, 3},                      // loads
+    {I32, 0}, {I32, 0}, {I32, 1}, {I32, 1},                      // i32 narrow loads
+    {I64, 0}, {I64, 0}, {I64, 1}, {I64, 1}, {I64, 2}, {I64, 2},  // i64 narrow loads
+    {I32, 2}, {I64, 3}, {F32, 2}, {F64, 3},                      // stores
+    {I32, 0}, {I32, 1}, {I64, 0}, {I64, 1}, {I64, 2},            // narrow stores
+};
+
+/// One control frame. MVP blocks carry at most one result.
+struct Frame {
+  std::uint8_t kind;          // kBlock / kLoop / kIf / kElse
+  bool live;                  // opened in emitting code; dead frames emit nothing
+  bool unreachable;           // rest of the frame is stack-polymorphic
+  std::uint8_t arity;         // 0 or 1
+  ValType result;             // valid when arity == 1
+  std::uint32_t height;       // operand height at entry
+  std::uint32_t loop_target;  // kLoop: instr index of the loop head
+  std::uint32_t fixups;       // chain of branches to patch at `end` (kNone: empty)
+  std::uint32_t else_fixup;   // kIf: the br_if_false to patch at `else`/`end`
+};
+
+/// The single pass over one function body: type-checks every opcode
+/// against the spec's operand stack and, in the same step, emits its
+/// CompiledFunc instruction. Operand height is the type stack's size.
+/// Dead code (after unreachable/br/br_table/return) is fully type-checked
+/// but emits nothing.
+class Translator {
  public:
-  Compiler(const Module& module, std::uint32_t func_index)
+  Translator(const Module& module, std::uint32_t func_index)
       : module_(module),
         body_(module.code[func_index]),
         type_(module.types[module.functions[func_index]]),
-        reader_(body_.code) {}
+        reader_(body_.code),
+        total_funcs_(module.total_funcs()) {
+    bool has_table = !module.tables.empty();
+    bool has_memory = !module.memories.empty();
+    for (const auto& imp : module.imports) {
+      has_table |= imp.kind == ImportKind::Table;
+      has_memory |= imp.kind == ImportKind::Memory;
+    }
+    has_table_ = has_table;
+    has_memory_ = has_memory;
+  }
 
   Result<CompiledFunc> run() {
     out_.num_params = static_cast<std::uint32_t>(type_.params.size());
     out_.num_locals = out_.num_params + static_cast<std::uint32_t>(body_.locals.size());
     out_.result_arity = static_cast<std::uint32_t>(type_.results.size());
-
-    frames_.push_back(Frame{kBlock, 0, out_.result_arity, 0, {}, UINT32_MAX});
+    vals_.reserve(64);
+    frames_.reserve(16);
+    push_frame(kBlock, static_cast<std::uint8_t>(out_.result_arity),
+               out_.result_arity ? type_.results[0] : kUnknown);
 
     while (!frames_.empty()) {
       auto op = reader_.read_u8();
-      if (!op.ok()) return Result<CompiledFunc>::err("compile: truncated body");
-      const Status st = compile_op(*op);
-      if (!st.ok()) return Result<CompiledFunc>::err(st.error());
+      if (!op.ok()) return Result<CompiledFunc>::err("validate: body ended without end");
+      const Frame& top = frames_.back();
+      live_ = top.live && !top.unreachable;
+      if (!step(*op)) return Result<CompiledFunc>::err(std::move(error_));
     }
+    if (!reader_.at_end())
+      return Result<CompiledFunc>::err("validate: trailing bytes after end");
     return std::move(out_);
   }
 
  private:
+  bool fail(std::string message) {
+    error_ = std::move(message);
+    return false;
+  }
+
+  // -- immediates -------------------------------------------------------------
+
+  bool read_u32(std::uint32_t& v) {
+    auto r = reader_.read_uleb32();
+    if (!r.ok()) return fail(r.error());
+    v = *r;
+    return true;
+  }
+
+  /// Reads a block type: `arity` 0 (0x40) or 1 with its value type.
+  bool read_block_type(std::uint8_t& arity, ValType& result) {
+    auto b = reader_.read_u8();
+    if (!b.ok()) return fail(b.error());
+    arity = *b == 0x40 ? 0 : 1;
+    result = static_cast<ValType>(*b);
+    if (*b == 0x40 || *b == 0x7f || *b == 0x7e || *b == 0x7d || *b == 0x7c) return true;
+    return fail("validate: unsupported block type");
+  }
+
+  // -- operand and control stacks (spec appendix algorithm) -----------------
+
+  void push(ValType t) {
+    vals_.push_back(t);
+    if (live_ && vals_.size() > out_.max_operand_height)
+      out_.max_operand_height = static_cast<std::uint32_t>(vals_.size());
+  }
+
+  bool pop_any(ValType& actual) {
+    const Frame& frame = frames_.back();
+    if (vals_.size() == frame.height) {
+      if (!frame.unreachable) return fail("validate: value stack underflow");
+      actual = kUnknown;
+      return true;
+    }
+    actual = vals_.back();
+    vals_.pop_back();
+    return true;
+  }
+
+  bool pop(ValType expect) {
+    ValType actual;
+    if (!pop_any(actual)) return false;
+    if (actual != kUnknown && actual != expect)
+      return fail(std::string("validate: expected ") + val_type_name(expect) + " got " +
+                  val_type_name(actual));
+    return true;
+  }
+
+  void push_frame(std::uint8_t kind, std::uint8_t arity, ValType result) {
+    frames_.push_back(Frame{kind, live_, false, arity, result,
+                            static_cast<std::uint32_t>(vals_.size()),
+                            static_cast<std::uint32_t>(out_.code.size()), kNone, kNone});
+  }
+
+  /// Pops the frame's results and checks nothing else is left above it.
+  bool close_frame(const Frame& frame) {
+    if (frame.arity && !pop(frame.result)) return false;
+    if (vals_.size() != frame.height)
+      return fail("validate: values left on stack at end of block");
+    return true;
+  }
+
+  void set_unreachable() {
+    Frame& frame = frames_.back();
+    vals_.resize(frame.height);
+    frame.unreachable = true;
+  }
+
+  /// Branch target at relative depth `depth`; a loop's label takes no
+  /// values, any other label takes the block's results.
+  bool label(std::uint32_t depth, Frame*& target) {
+    if (depth >= frames_.size()) return fail("validate: branch depth out of range");
+    target = &frames_[frames_.size() - 1 - depth];
+    return true;
+  }
+
+  static std::uint8_t label_arity(const Frame& f) { return f.kind == kLoop ? 0 : f.arity; }
+
+  bool pop_label(const Frame& target) {
+    return !label_arity(target) || pop(target.result);
+  }
+
+  // -- emission ---------------------------------------------------------------
+
+  /// Appends one instruction when the current code is live.
   std::uint32_t emit(std::uint16_t op, std::uint16_t aux = 0, std::uint32_t a = 0,
                      std::uint64_t imm = 0) {
+    if (!live_) return kNone;
     out_.code.push_back(Instr{op, aux, a, imm});
     return static_cast<std::uint32_t>(out_.code.size() - 1);
   }
 
-  void adjust_height(int delta) {
-    height_ = static_cast<std::uint32_t>(static_cast<int>(height_) + delta);
-    if (height_ > out_.max_operand_height) out_.max_operand_height = height_;
+  /// Operands a branch to `target` taken at operand `height` discards
+  /// below the label's values.
+  static std::uint32_t branch_drop(const Frame& target, std::size_t height) {
+    return static_cast<std::uint32_t>(height - target.height - label_arity(target));
   }
 
-  void patch_frame(Frame& frame, std::uint32_t end_pc) {
-    for (std::uint32_t fixup : frame.end_fixups) {
-      if (fixup & kFixupTableFlag) {
-        out_.tables[fixup & ~kFixupTableFlag].target = end_pc;
-      } else {
-        out_.code[fixup].a = end_pc;
-      }
-    }
-    if (frame.else_fixup != UINT32_MAX) out_.code[frame.else_fixup].a = end_pc;
-  }
-
-  /// After an unconditional transfer, skip raw bytecode until the `else` or
-  /// `end` that re-activates this frame. Returns the op that ended the skip.
-  Result<std::uint8_t> skip_dead_code() {
-    int depth = 0;
-    while (true) {
-      auto op = reader_.read_u8();
-      if (!op.ok()) return Result<std::uint8_t>::err("compile: unterminated dead code");
-      switch (*op) {
-        case kBlock:
-        case kLoop:
-        case kIf:
-          ++depth;
-          break;
-        case kElse:
-          if (depth == 0) return *op;
-          continue;
-        case kEnd:
-          if (depth == 0) return *op;
-          --depth;
-          continue;
-        default:
-          break;
-      }
-      const Status st = skip_immediates(reader_, *op);
-      if (!st.ok()) return Result<std::uint8_t>::err(st.error());
-    }
-  }
-
-  Result<std::uint32_t> read_block_arity() {
-    auto b = reader_.read_u8();
-    if (!b.ok()) return Result<std::uint32_t>::err(b.error());
-    return *b == 0x40 ? 0u : 1u;
-  }
-
-  /// Emits the keep/drop branch to relative depth `d`. Returns the emitted
-  /// instruction's fixup registration.
-  Status emit_branch(std::uint16_t opcode, std::uint32_t d) {
-    if (d >= frames_.size()) return Status::err("compile: branch depth oob");
-    Frame& target = frames_[frames_.size() - 1 - d];
+  /// Emits a keep/drop branch to `target` from operand height `height`.
+  void emit_branch(std::uint16_t opcode, Frame& target, std::size_t height) {
+    if (!live_) return;
     const bool to_loop = target.kind == kLoop;
-    const std::uint32_t keep = to_loop ? 0 : target.arity;
-    const std::uint32_t drop = height_ - target.entry_height - keep;
-    const std::uint32_t idx =
-        emit(opcode, static_cast<std::uint16_t>(keep), to_loop ? target.loop_target : 0,
-             drop);
-    if (!to_loop) target.end_fixups.push_back(idx);
-    return {};
+    const std::uint32_t idx = emit(opcode, label_arity(target),
+                                   to_loop ? target.loop_target : target.fixups,
+                                   branch_drop(target, height));
+    if (!to_loop) target.fixups = idx;
   }
 
-  Status handle_block_terminator(std::uint8_t op);
+  /// Resolves every pending branch of `frame` to `end_pc`. Each fixup's
+  /// target field holds the next link of the chain until patched.
+  void patch_frame(const Frame& frame, std::uint32_t end_pc) {
+    for (std::uint32_t link = frame.fixups; link != kNone;) {
+      std::uint32_t& slot = (link & kFixupTableFlag)
+                                ? out_.tables[link & ~kFixupTableFlag].target
+                                : out_.code[link].a;
+      link = slot;
+      slot = end_pc;
+    }
+    if (frame.else_fixup != kNone) out_.code[frame.else_fixup].a = end_pc;
+  }
 
-  Status compile_op(std::uint8_t op);
+  bool step(std::uint8_t op);
+  bool step_br_table();
+  bool step_memory(std::uint8_t op);
+  bool step_fc();
 
   const Module& module_;
   const FunctionBody& body_;
   const FuncType& type_;
   ByteReader reader_;
+  const std::uint32_t total_funcs_;
+  bool has_table_ = false;
+  bool has_memory_ = false;
+  bool live_ = true;  // the current op emits
   CompiledFunc out_;
+  std::vector<ValType> vals_;
   std::vector<Frame> frames_;
-  std::uint32_t height_ = 0;
+  std::string error_;
 };
 
-Status Compiler::handle_block_terminator(std::uint8_t op) {
-  Frame& frame = frames_.back();
-  if (op == kElse) {
-    if (frame.kind != kIf) return Status::err("compile: else without if");
-    // Jump over the else arm at the end of the then arm.
-    const std::uint32_t br_idx = emit(kBr, 0, 0, 0);
-    frame.end_fixups.push_back(br_idx);
-    // The false branch of the `if` lands here.
-    if (frame.else_fixup != UINT32_MAX) {
-      out_.code[frame.else_fixup].a = static_cast<std::uint32_t>(out_.code.size());
-      frame.else_fixup = UINT32_MAX;
-    }
-    frame.kind = kElse;
-    height_ = frame.entry_height;
-    return {};
+bool Translator::step_br_table() {
+  std::uint32_t count;
+  if (!read_u32(count)) return false;
+  const std::size_t targets_pos = reader_.pos();
+  std::uint32_t depth;
+  for (std::uint32_t i = 0; i <= count; ++i)
+    if (!read_u32(depth)) return false;
+  const std::size_t end_pos = reader_.pos();
+  if (!pop(I32)) return false;
+  Frame* def;
+  if (!label(depth, def)) return false;
+  const std::size_t height = vals_.size();
+  const std::uint32_t base = static_cast<std::uint32_t>(out_.tables.size());
+  reader_.seek(targets_pos);
+  for (std::uint32_t i = 0; i <= count; ++i) {
+    Frame* target;
+    if (!read_u32(depth) || !label(depth, target)) return false;
+    if (label_arity(*target) != label_arity(*def) ||
+        (label_arity(*def) && target->result != def->result))
+      return fail("validate: br_table target type mismatch");
+    if (!live_) continue;
+    const bool to_loop = target->kind == kLoop;
+    out_.tables.push_back(BrTableEntry{to_loop ? target->loop_target : target->fixups,
+                                       label_arity(*target), branch_drop(*target, height)});
+    if (!to_loop)
+      target->fixups = static_cast<std::uint32_t>(out_.tables.size() - 1) | kFixupTableFlag;
   }
-
-  // kEnd.
-  const std::uint32_t end_pc = static_cast<std::uint32_t>(out_.code.size());
-  Frame done = std::move(frames_.back());
-  frames_.pop_back();
-  patch_frame(done, end_pc);
-  height_ = done.entry_height + done.arity;
-  if (frames_.empty()) {
-    emit(kReturn, static_cast<std::uint16_t>(out_.result_arity));
-  }
-  return {};
+  reader_.seek(end_pos);
+  if (!pop_label(*def)) return false;
+  emit(kBrTable, 0, base, count);
+  set_unreachable();
+  return true;
 }
 
-Status Compiler::compile_op(std::uint8_t op) {
-  switch (op) {
-    case kNop:
-      return {};
-    case kUnreachable: {
-      emit(kUnreachable);
-      auto term = skip_dead_code();
-      if (!term.ok()) return Status::err(term.error());
-      return handle_block_terminator(*term);
-    }
+bool Translator::step_memory(std::uint8_t op) {
+  const MemSig sig = kMemSigs[op - kI32Load];
+  if (!has_memory_) return fail("validate: memory access without memory");
+  std::uint32_t align, offset;
+  if (!read_u32(align)) return false;
+  if (align > sig.align_log2) return fail("validate: alignment exceeds natural alignment");
+  if (!read_u32(offset)) return false;
+  if (op <= kI64Load32U) {
+    if (!pop(I32)) return false;
+    push(sig.type);
+  } else if (!pop(sig.type) || !pop(I32)) {
+    return false;
+  }
+  emit(op, 0, 0, offset);
+  return true;
+}
 
-    case kBlock: {
-      auto arity = read_block_arity();
-      if (!arity.ok()) return Status::err(arity.error());
-      frames_.push_back(Frame{kBlock, height_, *arity, 0, {}, UINT32_MAX});
-      return {};
-    }
-    case kLoop: {
-      auto arity = read_block_arity();
-      if (!arity.ok()) return Status::err(arity.error());
-      frames_.push_back(Frame{kLoop, height_, *arity,
-                              static_cast<std::uint32_t>(out_.code.size()), {},
-                              UINT32_MAX});
-      return {};
-    }
+bool Translator::step_fc() {
+  std::uint32_t sub;
+  if (!read_u32(sub)) return false;
+  if (sub <= kI64TruncSatF64U) {
+    if (!pop((sub & 2) ? F64 : F32)) return false;
+    push(sub < kI64TruncSatF32S ? I32 : I64);
+    emit(static_cast<std::uint16_t>(kInstrTruncSatBase + sub));
+    return true;
+  }
+  if (sub == kMemoryCopy) {
+    auto a = reader_.read_u8();
+    auto b = reader_.read_u8();
+    if (!a.ok() || !b.ok() || *a != 0 || *b != 0)
+      return fail("validate: memory.copy operands");
+    if (!pop(I32) || !pop(I32) || !pop(I32)) return false;
+    emit(kInstrMemCopy);
+    return true;
+  }
+  if (sub == kMemoryFill) {
+    auto a = reader_.read_u8();
+    if (!a.ok() || *a != 0) return fail("validate: memory.fill operand");
+    if (!pop(I32) || !pop(I32) || !pop(I32)) return false;
+    emit(kInstrMemFill);
+    return true;
+  }
+  return fail("validate: unsupported 0xFC opcode");
+}
+
+bool Translator::step(std::uint8_t op) {
+  switch (op) {
+    case kUnreachable:
+      emit(kUnreachable);
+      set_unreachable();
+      return true;
+    case kNop:
+      return true;
+
+    case kBlock:
+    case kLoop:
     case kIf: {
-      auto arity = read_block_arity();
-      if (!arity.ok()) return Status::err(arity.error());
-      adjust_height(-1);  // condition
-      const std::uint32_t idx = emit(kInstrBrIfFalse, 0, 0, 0);
-      frames_.push_back(Frame{kIf, height_, *arity, 0, {}, idx});
-      return {};
+      std::uint8_t arity;
+      ValType result;
+      if (!read_block_type(arity, result)) return false;
+      if (op == kIf && !pop(I32)) return false;
+      const std::uint32_t cond = op == kIf ? emit(kInstrBrIfFalse) : kNone;
+      push_frame(op, arity, result);
+      frames_.back().else_fixup = cond;
+      return true;
     }
-    case kElse:
-    case kEnd:
-      return handle_block_terminator(op);
+    case kElse: {
+      Frame& frame = frames_.back();
+      if (!close_frame(frame)) return false;
+      if (frame.kind != kIf) return fail("validate: else without if");
+      // The then arm jumps over the else arm; the if's false edge lands here.
+      live_ = frame.live;
+      const std::uint32_t br = emit(kBr, 0, frame.fixups);
+      if (live_) frame.fixups = br;
+      if (frame.else_fixup != kNone) {
+        out_.code[frame.else_fixup].a = static_cast<std::uint32_t>(out_.code.size());
+        frame.else_fixup = kNone;
+      }
+      frame.kind = kElse;
+      frame.unreachable = false;
+      return true;
+    }
+    case kEnd: {
+      const Frame frame = frames_.back();
+      if (!close_frame(frame)) return false;
+      if (frame.kind == kIf && frame.arity)
+        return fail("validate: if with result type but no else");
+      frames_.pop_back();
+      live_ = frame.live;
+      if (live_) patch_frame(frame, static_cast<std::uint32_t>(out_.code.size()));
+      if (frame.arity) vals_.push_back(frame.result);
+      if (frames_.empty()) emit(kReturn, static_cast<std::uint16_t>(out_.result_arity));
+      return true;
+    }
 
     case kBr: {
-      auto d = reader_.read_uleb32();
-      if (!d.ok()) return Status::err(d.error());
-      const Status st = emit_branch(kBr, *d);
-      if (!st.ok()) return st;
-      auto term = skip_dead_code();
-      if (!term.ok()) return Status::err(term.error());
-      return handle_block_terminator(*term);
+      std::uint32_t depth;
+      Frame* target;
+      if (!read_u32(depth) || !label(depth, target)) return false;
+      emit_branch(kBr, *target, vals_.size());
+      if (!pop_label(*target)) return false;
+      set_unreachable();
+      return true;
     }
     case kBrIf: {
-      auto d = reader_.read_uleb32();
-      if (!d.ok()) return Status::err(d.error());
-      adjust_height(-1);  // condition
-      return emit_branch(kBrIf, *d);
+      std::uint32_t depth;
+      if (!read_u32(depth) || !pop(I32)) return false;
+      Frame* target;
+      if (!label(depth, target)) return false;
+      emit_branch(kBrIf, *target, vals_.size());
+      if (!pop_label(*target)) return false;
+      if (label_arity(*target)) push(target->result);
+      return true;
     }
-    case kBrTable: {
-      auto count = reader_.read_uleb32();
-      if (!count.ok()) return Status::err(count.error());
-      adjust_height(-1);  // index operand
-      const std::uint32_t base = static_cast<std::uint32_t>(out_.tables.size());
-      const std::uint32_t n = *count;
-      for (std::uint32_t i = 0; i <= n; ++i) {
-        auto d = reader_.read_uleb32();
-        if (!d.ok()) return Status::err(d.error());
-        if (*d >= frames_.size()) return Status::err("compile: br_table depth oob");
-        Frame& target = frames_[frames_.size() - 1 - *d];
-        const bool to_loop = target.kind == kLoop;
-        const std::uint16_t keep = static_cast<std::uint16_t>(to_loop ? 0 : target.arity);
-        const std::uint32_t drop = height_ - target.entry_height - keep;
-        out_.tables.push_back(
-            BrTableEntry{to_loop ? target.loop_target : 0, keep, drop});
-        if (!to_loop)
-          target.end_fixups.push_back(
-              static_cast<std::uint32_t>(out_.tables.size() - 1) | kFixupTableFlag);
-      }
-      emit(kBrTable, 0, base, n);
-      auto term = skip_dead_code();
-      if (!term.ok()) return Status::err(term.error());
-      return handle_block_terminator(*term);
-    }
+    case kBrTable:
+      return step_br_table();
     case kReturn: {
+      if (out_.result_arity && !pop(type_.results[0])) return false;
       emit(kReturn, static_cast<std::uint16_t>(out_.result_arity));
-      auto term = skip_dead_code();
-      if (!term.ok()) return Status::err(term.error());
-      return handle_block_terminator(*term);
+      set_unreachable();
+      return true;
     }
-    case kCall: {
-      auto idx = reader_.read_uleb32();
-      if (!idx.ok()) return Status::err(idx.error());
-      const FuncType& ft = module_.func_type(*idx);
-      adjust_height(-static_cast<int>(ft.params.size()));
-      adjust_height(static_cast<int>(ft.results.size()));
-      emit(kCall, 0, *idx);
-      return {};
-    }
+    case kCall:
     case kCallIndirect: {
-      auto ti = reader_.read_uleb32();
-      if (!ti.ok()) return Status::err(ti.error());
-      auto table = reader_.read_u8();
-      if (!table.ok()) return Status::err(table.error());
-      const FuncType& ft = module_.types[*ti];
-      adjust_height(-1);  // table index
-      adjust_height(-static_cast<int>(ft.params.size()));
-      adjust_height(static_cast<int>(ft.results.size()));
-      emit(kCallIndirect, 0, *ti);
-      return {};
+      std::uint32_t idx;
+      if (!read_u32(idx)) return false;
+      if (op == kCall && idx >= total_funcs_) return fail("validate: call index oob");
+      if (op == kCallIndirect) {
+        if (idx >= module_.types.size()) return fail("validate: call_indirect type oob");
+        auto table = reader_.read_u8();
+        if (!table.ok() || *table != 0)
+          return fail("validate: call_indirect table must be 0");
+        if (!has_table_) return fail("validate: call_indirect without table");
+        if (!pop(I32)) return false;
+      }
+      const FuncType& ft = op == kCall ? module_.func_type(idx) : module_.types[idx];
+      for (auto it = ft.params.rbegin(); it != ft.params.rend(); ++it)
+        if (!pop(*it)) return false;
+      for (ValType t : ft.results) push(t);
+      emit(op, 0, idx);
+      return true;
     }
 
-    case kDrop:
-      adjust_height(-1);
+    case kDrop: {
+      ValType t;
+      if (!pop_any(t)) return false;
       emit(kDrop);
-      return {};
-    case kSelect:
-      adjust_height(-2);
+      return true;
+    }
+    case kSelect: {
+      ValType a, b;
+      if (!pop(I32) || !pop_any(a) || !pop_any(b)) return false;
+      if (a != kUnknown && b != kUnknown && a != b)
+        return fail("validate: select operand types differ");
+      if (a == FuncRef || b == FuncRef) return fail("validate: select on reference type");
+      push(a != kUnknown ? a : b);
       emit(kSelect);
-      return {};
+      return true;
+    }
 
-    case kLocalGet: {
-      auto idx = reader_.read_uleb32();
-      if (!idx.ok()) return Status::err(idx.error());
-      adjust_height(1);
-      emit(kLocalGet, 0, *idx);
-      return {};
-    }
-    case kLocalSet: {
-      auto idx = reader_.read_uleb32();
-      if (!idx.ok()) return Status::err(idx.error());
-      adjust_height(-1);
-      emit(kLocalSet, 0, *idx);
-      return {};
-    }
+    case kLocalGet:
+    case kLocalSet:
     case kLocalTee: {
-      auto idx = reader_.read_uleb32();
-      if (!idx.ok()) return Status::err(idx.error());
-      emit(kLocalTee, 0, *idx);
-      return {};
+      std::uint32_t idx;
+      if (!read_u32(idx)) return false;
+      const std::size_t np = type_.params.size();
+      if (idx >= np + body_.locals.size()) return fail("validate: local index oob");
+      const ValType t = idx < np ? type_.params[idx] : body_.locals[idx - np];
+      if (op != kLocalGet && !pop(t)) return false;
+      if (op != kLocalSet) push(t);
+      emit(op, 0, idx);
+      return true;
     }
-    case kGlobalGet: {
-      auto idx = reader_.read_uleb32();
-      if (!idx.ok()) return Status::err(idx.error());
-      adjust_height(1);
-      emit(kGlobalGet, 0, *idx);
-      return {};
-    }
+    case kGlobalGet:
     case kGlobalSet: {
-      auto idx = reader_.read_uleb32();
-      if (!idx.ok()) return Status::err(idx.error());
-      adjust_height(-1);
-      emit(kGlobalSet, 0, *idx);
-      return {};
+      std::uint32_t idx;
+      if (!read_u32(idx)) return false;
+      auto type = module_global_type(module_, idx);
+      if (!type.ok()) return fail(type.error());
+      if (op == kGlobalGet) {
+        push(type->first);
+      } else {
+        if (!type->second) return fail("validate: assignment to immutable global");
+        if (!pop(type->first)) return false;
+      }
+      emit(op, 0, idx);
+      return true;
     }
 
-    case kMemorySize: {
-      auto zero = reader_.read_u8();
-      if (!zero.ok()) return Status::err(zero.error());
-      adjust_height(1);
-      emit(kMemorySize);
-      return {};
-    }
+    case kMemorySize:
     case kMemoryGrow: {
       auto zero = reader_.read_u8();
-      if (!zero.ok()) return Status::err(zero.error());
-      emit(kMemoryGrow);
-      return {};
+      if (!zero.ok() || *zero != 0)
+        return fail(op == kMemorySize ? "validate: memory.size operand"
+                                      : "validate: memory.grow operand");
+      if (op == kMemoryGrow && !pop(I32)) return false;
+      push(I32);
+      emit(op);
+      return true;
     }
 
     case kI32Const: {
       auto v = reader_.read_sleb32();
-      if (!v.ok()) return Status::err(v.error());
-      adjust_height(1);
+      if (!v.ok()) return fail(v.error());
+      push(I32);
       emit(kI32Const, 0, 0, static_cast<std::uint32_t>(*v));
-      return {};
+      return true;
     }
     case kI64Const: {
       auto v = reader_.read_sleb64();
-      if (!v.ok()) return Status::err(v.error());
-      adjust_height(1);
+      if (!v.ok()) return fail(v.error());
+      push(I64);
       emit(kI64Const, 0, 0, static_cast<std::uint64_t>(*v));
-      return {};
+      return true;
     }
     case kF32Const: {
       auto v = reader_.read_bytes(4);
-      if (!v.ok()) return Status::err(v.error());
-      adjust_height(1);
+      if (!v.ok()) return fail(v.error());
+      push(F32);
       emit(kF32Const, 0, 0, get_u32le(v->data()));
-      return {};
+      return true;
     }
     case kF64Const: {
       auto v = reader_.read_bytes(8);
-      if (!v.ok()) return Status::err(v.error());
-      adjust_height(1);
+      if (!v.ok()) return fail(v.error());
+      push(F64);
       emit(kF64Const, 0, 0, get_u64le(v->data()));
-      return {};
+      return true;
     }
 
-    case kPrefixFC: {
-      auto sub = reader_.read_uleb32();
-      if (!sub.ok()) return Status::err(sub.error());
-      if (*sub <= kI64TruncSatF64U) {
-        emit(static_cast<std::uint16_t>(kInstrTruncSatBase + *sub));
-        return {};
-      }
-      if (*sub == kMemoryCopy) {
-        auto a = reader_.read_u8();
-        auto b = reader_.read_u8();
-        if (!a.ok() || !b.ok()) return Status::err("compile: memory.copy");
-        adjust_height(-3);
-        emit(kInstrMemCopy);
-        return {};
-      }
-      if (*sub == kMemoryFill) {
-        auto a = reader_.read_u8();
-        if (!a.ok()) return Status::err("compile: memory.fill");
-        adjust_height(-3);
-        emit(kInstrMemFill);
-        return {};
-      }
-      return Status::err("compile: unsupported 0xFC opcode");
-    }
+    case kPrefixFC:
+      return step_fc();
 
     default:
       break;
   }
 
-  // Loads/stores.
-  if (op >= kI32Load && op <= kI64Load32U) {
-    auto align = reader_.read_uleb32();
-    if (!align.ok()) return Status::err(align.error());
-    auto offset = reader_.read_uleb32();
-    if (!offset.ok()) return Status::err(offset.error());
-    emit(op, 0, 0, *offset);  // height: pop addr, push value -> net 0
-    return {};
-  }
-  if (op >= kI32Store && op <= kI64Store32) {
-    auto align = reader_.read_uleb32();
-    if (!align.ok()) return Status::err(align.error());
-    auto offset = reader_.read_uleb32();
-    if (!offset.ok()) return Status::err(offset.error());
-    adjust_height(-2);
-    emit(op, 0, 0, *offset);
-    return {};
-  }
+  if (op >= kI32Load && op <= kI64Store32) return step_memory(op);
 
-  // Pure numeric ops: height effect.
-  const bool is_unary =
-      op == kI32Eqz || op == kI64Eqz || (op >= kI32Clz && op <= kI32Popcnt) ||
-      (op >= kI64Clz && op <= kI64Popcnt) || (op >= kF32Abs && op <= kF32Sqrt) ||
-      (op >= kF64Abs && op <= kF64Sqrt) || (op >= kI32WrapI64 && op <= kI64Extend32S);
-  const bool is_binary =
-      (op >= kI32Eq && op <= kF64Ge && op != kI64Eqz) ||
-      (op >= kI32Add && op <= kI32Rotr) || (op >= kI64Add && op <= kI64Rotr) ||
-      (op >= kF32Add && op <= kF32Copysign) || (op >= kF64Add && op <= kF64Copysign);
-  if (is_binary) {
-    adjust_height(-1);
-  } else if (!is_unary) {
-    return Status::err("compile: unknown opcode " + std::to_string(op));
-  }
+  const NumericSig sig = kNumericSigs[op];
+  if (sig.arity == 0) return fail("validate: unknown opcode " + std::to_string(op));
+  for (int i = 0; i < sig.arity; ++i)
+    if (!pop(sig.in)) return false;
+  push(sig.out);
   emit(op);
-  return {};
+  return true;
 }
 
 }  // namespace
 
 Result<CompiledFunc> compile_function(const Module& module, std::uint32_t func_index) {
-  return Compiler(module, func_index).run();
+  auto compiled = Translator(module, func_index).run();
+  if (!compiled.ok())
+    return Result<CompiledFunc>::err(compiled.error() + " (in function " +
+                                     std::to_string(func_index + module.num_imported_funcs()) +
+                                     ")");
+  return compiled;
 }
 
 }  // namespace watz::wasm

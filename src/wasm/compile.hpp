@@ -1,6 +1,8 @@
-// AOT translation pass: lowers a validated function body into a resolved
+// AOT translation pass: one walk per function body that both validates it
+// (the spec's operand-stack type checking) and lowers it into a resolved
 // instruction stream (branch targets as absolute indices, immediates
-// pre-decoded, structured control flow erased, dead code elided).
+// pre-decoded, structured control flow erased, dead code checked but
+// elided).
 //
 // This is WaTZ's stand-in for WAMR's LLVM AOT pipeline: the translation
 // happens once at module-load time, and execution needs no bytecode
@@ -22,8 +24,9 @@ enum InstrOp : std::uint16_t {
   kInstrMemFill = 0x211,
 };
 
-/// Compiles function `func_index` (module code-space index) of a *validated*
-/// module.
+/// Validates and compiles function `func_index` (module code-space index).
+/// A body the spec rejects yields a `validate: …` error naming the function
+/// in the unified index space.
 Result<CompiledFunc> compile_function(const Module& module, std::uint32_t func_index);
 
 /// Byte-level scanning helpers shared with the interpreter. `pos` must point

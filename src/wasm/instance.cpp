@@ -96,6 +96,8 @@ Result<std::uint64_t> eval_const_expr(const Bytes& expr,
 }  // namespace
 
 Result<std::vector<CompiledFunc>> precompile_module(const Module& module) {
+  const Status valid = validate_module_level(module);
+  if (!valid.ok()) return Result<std::vector<CompiledFunc>>::err(valid.error());
   std::vector<CompiledFunc> compiled;
   compiled.reserve(module.code.size());
   for (std::uint32_t i = 0; i < module.code.size(); ++i) {
@@ -125,7 +127,19 @@ Result<std::unique_ptr<Instance>> Instance::instantiate_shared(
   using InstancePtr = std::unique_ptr<Instance>;
   const Module& module = *module_ptr;
 
-  if (!already_validated) {
+  // AOT pre-translation of every function (the "loading" phase of Fig 4),
+  // unless the embedder already ran precompile_module(). Translating
+  // validates too, so that path needs no separate validation walk. The
+  // compiled image is immutable at run time, so a caller-provided store is
+  // shared, not copied.
+  const bool translate =
+      mode == ExecMode::Aot &&
+      !(precompiled && precompiled->size() == module.code.size() && !module.code.empty());
+  if (translate) {
+    auto compiled = precompile_module(module);
+    if (!compiled.ok()) return Result<InstancePtr>::err(compiled.error());
+    precompiled = std::make_shared<const std::vector<CompiledFunc>>(std::move(*compiled));
+  } else if (!already_validated) {
     const Status valid = validate_module(module);
     if (!valid.ok()) return Result<InstancePtr>::err(valid.error());
   }
@@ -164,20 +178,8 @@ Result<std::unique_ptr<Instance>> Instance::instantiate_shared(
   const Status state = inst->reset_state();
   if (!state.ok()) return Result<InstancePtr>::err(state.error());
 
-  // AOT pre-translation of every function (the "loading" phase of Fig 4),
-  // unless the embedder already ran precompile_module(). The compiled image
-  // is immutable at run time, so a caller-provided store is shared, not
-  // copied.
   if (mode == ExecMode::Aot) {
-    if (precompiled && precompiled->size() == module.code.size() &&
-        !module.code.empty()) {
-      inst->compiled_store_ = std::move(precompiled);
-    } else {
-      auto compiled = precompile_module(module);
-      if (!compiled.ok()) return Result<InstancePtr>::err(compiled.error());
-      inst->compiled_store_ =
-          std::make_shared<const std::vector<CompiledFunc>>(std::move(*compiled));
-    }
+    inst->compiled_store_ = std::move(precompiled);
     inst->compiled = *inst->compiled_store_;
   }
 

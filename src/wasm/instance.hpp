@@ -128,7 +128,9 @@ class Instance {
   /// `already_validated` skips the validation pass for modules the embedder
   /// has run through validate_module() before (e.g. a cached prepared
   /// module being re-instantiated); passing an unvalidated module with the
-  /// flag set is undefined behaviour at execution time.
+  /// flag set is undefined behaviour at execution time. In Aot mode without
+  /// a supplied stream the translation itself validates, so no separate
+  /// pass runs either way.
   static Result<std::unique_ptr<Instance>> instantiate(
       Module module, const ImportResolver& imports, ExecMode mode,
       std::vector<CompiledFunc> precompiled = {}, bool already_validated = false);
@@ -197,7 +199,9 @@ class Instance {
   void* user_data_ = nullptr;
 };
 
-/// Runs the AOT translation for every function of a *validated* module.
+/// Runs the module-level checks and the AOT translation (which validates each
+/// body as it emits) for every function; an invalid module yields the same
+/// `validate: …` error as validate_module().
 Result<std::vector<CompiledFunc>> precompile_module(const Module& module);
 
 /// Thrown by executors on a sandbox trap; converted to Result at the

@@ -11,6 +11,7 @@
 #include "gateway/gateway.hpp"
 #include "gateway/invoke_memo.hpp"
 #include "wasm/builder.hpp"
+#include "wasm/jit/jit.hpp"
 
 namespace watz::gateway {
 namespace {
@@ -270,8 +271,16 @@ TEST_F(GatewayMemoTest, StatsDetailCarriesPerMeasurementTierState) {
   EXPECT_EQ(tier.measurement, load->measurement);
   EXPECT_EQ(tier.mode, 1);  // wasm::ExecMode::Aot — the fleet default
   EXPECT_GT(tier.functions, 0u);
-  EXPECT_GT(tier.hot_threshold, 0u);
-  EXPECT_GT(tier.calls, 0u);  // the invoke above heated the module
+  if (wasm::jit::jit_available()) {
+    EXPECT_GT(tier.hot_threshold, 0u);
+    EXPECT_GT(tier.calls, 0u);  // the invoke above heated the module
+  } else {
+    // Fallback leg (WATZ_DISABLE_JIT / non-x86-64): no tier set, so the
+    // module reports the wholesale AOT stream with no heat.
+    EXPECT_EQ(tier.native_functions, 0u);
+    EXPECT_EQ(tier.hot_threshold, 0u);
+    EXPECT_EQ(tier.calls, 0u);
+  }
 }
 
 }  // namespace
