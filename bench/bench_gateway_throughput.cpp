@@ -888,6 +888,7 @@ int main(int argc, char** argv) {
   if (tables)
     std::printf("\n=== Gateway: genann training step, AOT vs tiered ===\n");
   double genann_speedup = 1.0;
+  double genann_fallback_calls = 0.0;  // helper call dispatches, tiered reps
   {
     static const wasm::ImportResolver kNoImports;
     const Bytes module = ann::training_module();
@@ -897,10 +898,11 @@ int main(int argc, char** argv) {
     auto train_median_ns = [&](bool tiered) {
       auto inst = bench::instantiate_ree(module, kNoImports);
       inst->memory()->copy_in(ann::GuestLayout::kDatasetPtr, wire).check();
+      std::shared_ptr<wasm::jit::TierSet> tier;
       if (tiered && wasm::jit::jit_available()) {
         wasm::jit::TierConfig config;
         config.hot_threshold = 1;
-        auto tier = std::make_shared<wasm::jit::TierSet>(
+        tier = std::make_shared<wasm::jit::TierSet>(
             &inst->module(), inst->compiled, std::move(config));
         tier->compile_all();
         inst->tier = tier;
@@ -913,7 +915,12 @@ int main(int argc, char** argv) {
         if (correct <= 0) throw Error("bench: genann training went sideways");
       };
       run_once();  // warm (weights move, but per-step cost is stable)
-      return bench::median_ns(3, run_once);
+      const std::uint64_t calls_before = tier ? tier->fallback_call() : 0;
+      const std::uint64_t ns = bench::median_ns(3, run_once);
+      if (tier)
+        genann_fallback_calls =
+            static_cast<double>(tier->fallback_call() - calls_before);
+      return ns;
     };
 
     const std::uint64_t aot_ns = train_median_ns(false);
@@ -923,11 +930,13 @@ int main(int argc, char** argv) {
           static_cast<double>(aot_ns) / static_cast<double>(native_ns);
     if (tables)
       std::printf("  train_at x%d : AOT stream %8.2f ms | tiered %8.2f ms -> "
-                  "%.2fx%s\n",
+                  "%.2fx%s\n  tiered steady state: %.0f helper call dispatch(es)\n",
                   kIters, aot_ns / 1e6, native_ns / 1e6, genann_speedup,
-                  wasm::jit::jit_available() ? "" : " (JIT unavailable)");
+                  wasm::jit::jit_available() ? "" : " (JIT unavailable)",
+                  genann_fallback_calls);
   }
   report.metric("genann_native_speedup", genann_speedup, "x");
+  report.metric("genann_fallback_calls", genann_fallback_calls, "calls");
 
   // ---- phase 9: chaos failover on the prewarmed path ----------------------
   // A 2-device fleet behind a ChaosFabric with cross-device module prewarm

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 
 #include "hw/clock.hpp"
 #include "obs/trace.hpp"
@@ -43,6 +44,22 @@ inline std::uint64_t bits_of(double v) {
   std::uint64_t b;
   std::memcpy(&b, &v, 8);
   return b;
+}
+
+/// The result of `a OP b` with the NaN propagation of the SSE unit every
+/// tier computes on: a NaN operand's payload survives (quieted), the first
+/// operand's when both are NaN. Pinned here because the C++ compiler may
+/// commute + and *, which would leave the payload of a NaN + NaN sum to
+/// register allocation — and differ from the native tier's `a OP= b`.
+template <typename F>
+F nan_ordered(F a, F b, F r) {
+  if (!std::isnan(r)) [[likely]]
+    return r;
+  using Bits = std::conditional_t<sizeof(F) == 4, std::uint32_t, std::uint64_t>;
+  constexpr Bits kQuiet = Bits{1} << (std::numeric_limits<F>::digits - 2);
+  if (std::isnan(a)) return std::bit_cast<F>(static_cast<Bits>(std::bit_cast<Bits>(a) | kQuiet));
+  if (std::isnan(b)) return std::bit_cast<F>(static_cast<Bits>(std::bit_cast<Bits>(b) | kQuiet));
+  return r;  // invalid operation (inf - inf, 0 * inf, ...): the default NaN
 }
 
 /// IEEE-754 min/max with Wasm's NaN and signed-zero rules.
@@ -266,10 +283,10 @@ void exec_numeric(std::uint16_t op, std::vector<std::uint64_t>& stack, std::size
     case kF32Trunc: push(bits_of(std::trunc(as_f32(pop())))); return;
     case kF32Nearest: push(bits_of(wasm_nearest(as_f32(pop())))); return;
     case kF32Sqrt: push(bits_of(std::sqrt(as_f32(pop())))); return;
-    case kF32Add: { const auto b = as_f32(pop()), a = as_f32(pop()); push(bits_of(a + b)); return; }
-    case kF32Sub: { const auto b = as_f32(pop()), a = as_f32(pop()); push(bits_of(a - b)); return; }
-    case kF32Mul: { const auto b = as_f32(pop()), a = as_f32(pop()); push(bits_of(a * b)); return; }
-    case kF32Div: { const auto b = as_f32(pop()), a = as_f32(pop()); push(bits_of(a / b)); return; }
+    case kF32Add: { const auto b = as_f32(pop()), a = as_f32(pop()); push(bits_of(nan_ordered(a, b, a + b))); return; }
+    case kF32Sub: { const auto b = as_f32(pop()), a = as_f32(pop()); push(bits_of(nan_ordered(a, b, a - b))); return; }
+    case kF32Mul: { const auto b = as_f32(pop()), a = as_f32(pop()); push(bits_of(nan_ordered(a, b, a * b))); return; }
+    case kF32Div: { const auto b = as_f32(pop()), a = as_f32(pop()); push(bits_of(nan_ordered(a, b, a / b))); return; }
     case kF32Min: { const auto b = as_f32(pop()), a = as_f32(pop()); push(bits_of(wasm_min(a, b))); return; }
     case kF32Max: { const auto b = as_f32(pop()), a = as_f32(pop()); push(bits_of(wasm_max(a, b))); return; }
     case kF32Copysign: { const auto b = as_f32(pop()), a = as_f32(pop()); push(bits_of(std::copysign(a, b))); return; }
@@ -282,10 +299,10 @@ void exec_numeric(std::uint16_t op, std::vector<std::uint64_t>& stack, std::size
     case kF64Trunc: push(bits_of(std::trunc(as_f64(pop())))); return;
     case kF64Nearest: push(bits_of(wasm_nearest(as_f64(pop())))); return;
     case kF64Sqrt: push(bits_of(std::sqrt(as_f64(pop())))); return;
-    case kF64Add: { const auto b = as_f64(pop()), a = as_f64(pop()); push(bits_of(a + b)); return; }
-    case kF64Sub: { const auto b = as_f64(pop()), a = as_f64(pop()); push(bits_of(a - b)); return; }
-    case kF64Mul: { const auto b = as_f64(pop()), a = as_f64(pop()); push(bits_of(a * b)); return; }
-    case kF64Div: { const auto b = as_f64(pop()), a = as_f64(pop()); push(bits_of(a / b)); return; }
+    case kF64Add: { const auto b = as_f64(pop()), a = as_f64(pop()); push(bits_of(nan_ordered(a, b, a + b))); return; }
+    case kF64Sub: { const auto b = as_f64(pop()), a = as_f64(pop()); push(bits_of(nan_ordered(a, b, a - b))); return; }
+    case kF64Mul: { const auto b = as_f64(pop()), a = as_f64(pop()); push(bits_of(nan_ordered(a, b, a * b))); return; }
+    case kF64Div: { const auto b = as_f64(pop()), a = as_f64(pop()); push(bits_of(nan_ordered(a, b, a / b))); return; }
     case kF64Min: { const auto b = as_f64(pop()), a = as_f64(pop()); push(bits_of(wasm_min(a, b))); return; }
     case kF64Max: { const auto b = as_f64(pop()), a = as_f64(pop()); push(bits_of(wasm_max(a, b))); return; }
     case kF64Copysign: { const auto b = as_f64(pop()), a = as_f64(pop()); push(bits_of(std::copysign(a, b))); return; }

@@ -1,49 +1,62 @@
 // One-pass baseline codegen: lowers a validated AOT-stream function
 // (`CompiledFunc`) to x86-64 via the Emitter.
 //
-// The key trick is STATIC OPERAND-HEIGHT TRACKING. The resolved stream has
-// exactly one operand-stack height per pc (the prescan derives it, seeding
-// branch targets and verifying joins), so every push/pop becomes a move
-// to/from a fixed frame slot [rbp + (num_locals + h)*8] and the dynamic sp
-// only exists at helper-call boundaries, where it is spilled to
-// JitContext::sp and re-derived afterwards. Functions whose streams violate
-// the invariants the baseline relies on (multi-value branches, height
-// joins that disagree) are refused — compile_function returns empty,
-// reports the refusing opcode, and the tier keeps them on the AOT stream.
+// STATIC HEIGHTS. The resolved stream has exactly one operand-stack height
+// per pc (the prescan derives it, seeding branch targets and verifying
+// joins), so every operand height h owns a canonical frame slot
+// [rbp + (num_locals + h)*8]. Functions whose streams violate the
+// invariants the baseline relies on (multi-value branches, height joins
+// that disagree) are refused — compile_function returns empty, reports the
+// refusing opcode, and the tier keeps them on the AOT stream.
 //
-// Frame/register map (see jit.hpp): r15 = JitContext*, rbp = &stack[base],
-// r13 = memory base, r14 = memory size; rax/rcx/rdx are scratch and xmm0/
-// xmm1 carry scalar floats. After any helper call the pinned rbp/r13/r14
-// are reloaded from the context and the trap flag is checked (helpers do
-// not unwind; see exec_native.cpp).
+// REGISTER-CACHED VALUE STACK (Liftoff-style). Codegen tracks, per height,
+// where the value currently lives:
+//   * Gpr / Xmm — a register from the pools below (f32/f64 results stay in
+//     XMM end to end; when a pool runs dry the deepest register entry is
+//     spilled to its slot);
+//   * Const     — an immediate, folded into the consumer as imm32 or a mov;
+//   * Mem       — a frame slot: its own canonical slot, or a local's slot
+//     (a `local.get` alias: no code, consumers read the local as a memory
+//     operand; a write to the local first loads its live aliases);
+//   * Flags     — a comparison whose boolean is still only in EFLAGS. A
+//     consuming br_if / br_if_false / select / eqz / `!= 0` compiles to one
+//     jcc/cmov; anything else first materialises it with setcc.
+// Locals are never cached: they stay in their frame slots.
 //
-// Phase 2 widens the lowered core along a second data-type dimension:
+// BOUNDARIES. Before any branch, merge target, return, helper call or
+// native call the cache is flushed to the canonical slot layout (Liftoff's
+// spill-at-merge baseline), so branch unwinding, br_table, the trap paths
+// and the helpers see exactly the frame the AOT stream would. Branches only
+// flush the heights their target keeps; the fall-through keeps its cache.
 //
-//  * f32/f64 add/sub/mul/div/sqrt run on the SSE2 scalar unit — the same
-//    unit GCC compiles the interpreter's plain C++ float ops to, so the
-//    tiers stay bit-identical by construction. min/max branch to reproduce
-//    wasm's canonical-NaN and signed-zero rules (orpd/andpd merge the
-//    equal case); abs/neg/copysign are pure sign-bit ops on GPRs, exactly
-//    the interpreter's bit twiddles. Comparisons come from ucomis + setcc,
-//    with the parity flag folding the unordered cases.
-//  * int<->float conversions lower inline, including the u64->float
-//    round-to-odd halving (the sequence GCC emits for the C++ cast) and
-//    the four trapping truncations: operands are promoted to f64 (exact)
-//    and range-checked against per-op bounds before cvttsd2si; the
-//    offending opcode is parked in JitContext::trap_aux so the entry thunk
-//    rebuilds the interpreter's exact trap message.
-//  * Two peepholes exploit the static heights. (1) `local.get` defers: it
-//    only records which local the operand height aliases, and consumers
-//    read the local's slot directly — often as the memory operand of the
-//    ALU/SSE instruction itself; a trailing `local.set` becomes the
-//    destination of the producing op's store. Pending aliases are flushed
-//    to their operand slots at every control-flow edge and helper call,
-//    and on any write to the aliased local. (2) Functions whose locals +
-//    peak operand height fit in 8 registers, and whose every op lowers
-//    inline (no calls, no thunks), keep the whole wasm frame in registers
-//    (rbx rsi rdi r8-r12) and touch memory only at entry/exit.
+// DIRECT CALLS. A call to a module-local function loads the callee's entry
+// from the TierSet entry table (JitContext::entries). Installed: the call
+// site checks depth (trapping "call stack exhausted" at kMaxCallDepth),
+// moves ctx->base to the callee's frame, counts the entry and calls it; the
+// callee prologue grows the operand stack when its frame does not fit
+// (jit_helper_grow_stack, the AOT stream's resize policy) and zeroes its
+// non-parameter locals. Not installed yet, host imports and call_indirect
+// go through jit_helper_call* and the AOT dispatch (which feeds the heat
+// counters).
+//
+// Register map (see jit.hpp): r15 = JitContext*, rbp = &stack[base],
+// r13 = memory base, r14 = memory size; rax/rcx/rdx and xmm0/xmm1 are
+// scratch inside one op. After any helper or native call the pinned
+// rbp/r13/r14 are reloaded from the context and the trap flag is checked
+// (nothing unwinds through native frames; see exec_native.cpp).
+//
+// Float semantics: add/sub/mul/div/sqrt run on the SSE2 scalar unit — the
+// unit GCC compiles the interpreter's C++ float ops to, with the same
+// operand order, so NaN payloads match bit for bit. min/max branch to
+// reproduce wasm's canonical-NaN and signed-zero rules; abs/neg/copysign
+// are the interpreter's sign-bit twiddles on GPRs; compares are ucomis with
+// the parity flag folding the unordered cases. Trapping truncations
+// range-check in f64 and park the opcode in JitContext::trap_aux for the
+// canonical message.
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstring>
 #include <limits>
@@ -63,18 +76,35 @@ static_assert(offsetof(JitContext, sp) == 8);
 static_assert(offsetof(JitContext, base) == 16);
 static_assert(offsetof(JitContext, mem_base) == 24);
 static_assert(offsetof(JitContext, mem_size) == 32);
-static_assert(offsetof(JitContext, trap_code) == 72);
 static_assert(offsetof(JitContext, globals) == 48);
+static_assert(offsetof(JitContext, depth) == 64);
+static_assert(offsetof(JitContext, trap_code) == 72);
 static_assert(offsetof(JitContext, fallback_ops) == 80);
 static_assert(offsetof(JitContext, fallback_float) == 112);
 static_assert(offsetof(JitContext, fallback_conv) == 120);
 static_assert(offsetof(JitContext, fallback_other) == 128);
 static_assert(offsetof(JitContext, fallback_call) == 136);
 static_assert(offsetof(JitContext, trap_aux) == 144);
+static_assert(offsetof(JitContext, stack_size) == 152);
+static_assert(offsetof(JitContext, entries) == 160);
+static_assert(offsetof(JitContext, native_calls) == 168);
 static_assert(sizeof(GlobalSlot) == 16);
 static_assert(offsetof(GlobalSlot, bits) == 8);
+// The entry table is read with a plain 8-byte load (acquire on x86-64).
+static_assert(sizeof(std::atomic<const void*>) == 8);
+static_assert(std::atomic<const void*>::is_always_lock_free);
 
 namespace {
+
+constexpr std::int32_t kCtxSp = 8;
+constexpr std::int32_t kCtxBase = 16;
+constexpr std::int32_t kCtxGlobals = 48;
+constexpr std::int32_t kCtxDepth = 64;
+constexpr std::int32_t kCtxTrapCode = 72;
+constexpr std::int32_t kCtxTrapAux = 144;
+constexpr std::int32_t kCtxStackSize = 152;
+constexpr std::int32_t kCtxEntries = 160;
+constexpr std::int32_t kCtxNativeCalls = 168;
 
 std::uint64_t f64_bits(double v) {
   std::uint64_t b;
@@ -82,24 +112,18 @@ std::uint64_t f64_bits(double v) {
   return b;
 }
 
-struct CmpInfo {
-  Cond cc;
-  bool wide;
-  bool eqz;
-};
+bool fits_simm32(std::uint64_t v) {
+  return static_cast<std::int64_t>(v) ==
+         static_cast<std::int32_t>(static_cast<std::uint32_t>(v));
+}
 
-std::optional<CmpInfo> cmp_info(std::uint16_t op) {
-  switch (op) {
-    case kI32Eqz: return CmpInfo{CC_E, false, true};
-    case kI64Eqz: return CmpInfo{CC_E, true, true};
-    default: break;
-  }
+/// Condition of an integer comparison opcode (eqz: "operand == 0").
+std::optional<Cond> int_cmp_cond(std::uint16_t op) {
+  if (op == kI32Eqz || op == kI64Eqz) return CC_E;
   if (op >= kI32Eq && op <= kI64GeU) {
-    const bool wide = op >= kI64Eq;
     static constexpr Cond kOrder[10] = {CC_E, CC_NE, CC_L,  CC_B,  CC_G,
                                         CC_A, CC_LE, CC_BE, CC_GE, CC_AE};
-    const std::uint16_t rel = op - (wide ? kI64Eq : kI32Eq);
-    return CmpInfo{kOrder[rel], wide, false};
+    return kOrder[op - (op >= kI64Eq ? kI64Eq : kI32Eq)];
   }
   return std::nullopt;
 }
@@ -162,8 +186,9 @@ class FnCompiler {
 
   bool run() {
     if (!prescan()) return false;
-    reg_mode_ = reg_eligible();
-    pending_.assign(func_.max_operand_height, -1);
+    vs_.assign(func_.max_operand_height, Val{});
+    gpr_.fill(kFree);
+    xmm_.fill(kFree);
     emit_prologue();
     if (!emit_body()) return false;
     emit_tail();
@@ -263,223 +288,362 @@ class FnCompiler {
     return false;
   }
 
-  // -- register-resident mode -------------------------------------------------
+  // -- the abstract value stack -------------------------------------------------
 
-  // Wasm frame slots (locals then operand heights) pinned to registers for
-  // the whole function. rbx/r12 are saved by the prologue; rsi/rdi/r8-r11
-  // are caller-saved and a register-resident function makes no calls.
-  static constexpr Reg kSlotRegs[8] = {RBX, RSI, RDI, R8, R9, R10, R11, R12};
+  enum class Loc : std::uint8_t { Mem, Gpr, Xmm, Const, Flags };
 
-  Reg slot_reg(int idx) const { return kSlotRegs[idx]; }
-  Reg operand_reg(int h) const { return kSlotRegs[num_locals_ + h]; }
+  /// A boolean still in EFLAGS. `parity` folds ucomis' unordered case:
+  /// 0 = cc alone, 1 = cc AND ordered (f eq), 2 = cc OR unordered (f ne).
+  struct Flag {
+    Cond cc = CC_NE;
+    std::uint8_t parity = 0;
+  };
+  static Flag negate(Flag f) {
+    return {static_cast<Cond>(f.cc ^ 1),
+            static_cast<std::uint8_t>(f.parity == 0 ? 0 : 3 - f.parity)};
+  }
 
-  /// True when every op of this op's class lowers inline — no helper call,
-  /// no fallback thunk — so the frame never needs to be materialised.
-  bool lowers_inline(std::uint16_t op) const {
-    switch (op) {
+  struct Val {
+    Loc loc = Loc::Mem;
+    std::uint8_t reg = 0;    // Gpr / Xmm
+    bool f32 = false;        // Xmm holding an f32 (4-byte spill + zero upper)
+    Flag fl{};               // Flags
+    std::uint32_t idx = 0;   // Mem: frame index (local, or num_locals + h)
+    std::uint64_t imm = 0;   // Const: the canonical 64-bit slot bits
+  };
+
+  // Pools exclude the pinned r15/rbp/r13/r14 and the per-op scratch
+  // rax/rcx/rdx (div, shifts, setcc folding) and xmm0/xmm1 (truncation).
+  // rbx/r12 are saved by the prologue; the rest are caller-saved, which is
+  // fine because the cache is flushed before every call.
+  static constexpr std::uint8_t kGprPool[8] = {RBX, R12, RSI, RDI, R8, R9, R10, R11};
+  static constexpr std::uint8_t kXmmPool[14] = {2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15};
+  static constexpr int kFree = -1;  // register owner: not in use
+  static constexpr int kHeld = -2;  // popped: owned by the op being emitted
+
+  Val canonical(int h) const { return {.idx = num_locals_ + static_cast<std::uint32_t>(h)}; }
+  bool is_canonical(int h) const {
+    return vs_[h].loc == Loc::Mem && vs_[h].idx == num_locals_ + static_cast<std::uint32_t>(h);
+  }
+  std::int32_t slot_disp(int h) const {
+    return static_cast<std::int32_t>((num_locals_ + h) * 8);
+  }
+
+  void push(Val v) {
+    if (v.loc == Loc::Gpr) gpr_[v.reg] = sp_;
+    if (v.loc == Loc::Xmm) xmm_[v.reg] = sp_;
+    if (v.loc == Loc::Flags) flags_h_ = sp_;
+    vs_[sp_++] = v;
+  }
+  void push_gpr(Reg r) { push({.loc = Loc::Gpr, .reg = r}); }
+  void push_xmm(std::uint8_t x, bool f64) { push({.loc = Loc::Xmm, .reg = x, .f32 = !f64}); }
+  void push_flags(Flag f) { push({.loc = Loc::Flags, .fl = f}); }
+  /// Pops the top entry; its register (if any) is held by the caller until
+  /// release(). A popped Mem value may be read until the op pushes.
+  Val pop() {
+    Val v = vs_[--sp_];
+    if (v.loc == Loc::Gpr) gpr_[v.reg] = kHeld;
+    if (v.loc == Loc::Xmm) xmm_[v.reg] = kHeld;
+    if (v.loc == Loc::Flags) flags_h_ = -1;
+    return v;
+  }
+  void release(const Val& v) {
+    if (v.loc == Loc::Gpr) gpr_[v.reg] = kFree;
+    if (v.loc == Loc::Xmm) xmm_[v.reg] = kFree;
+  }
+
+  /// Forgets the cache: heights [0, h) are in their canonical slots (after
+  /// a flush or a helper call, or at a merge target).
+  void reset(int h) {
+    gpr_.fill(kFree);
+    xmm_.fill(kFree);
+    for (int k = 0; k < h; ++k) vs_[k] = canonical(k);
+    sp_ = h;
+    flags_h_ = -1;
+  }
+
+  /// A free register of `pool`, else the one holding the deepest entry,
+  /// spilled (an op holds at most three, so a victim always exists).
+  template <std::size_t N>
+  std::uint8_t alloc(std::array<int, 16>& owner, const std::uint8_t (&pool)[N]) {
+    for (const std::uint8_t r : pool)
+      if (owner[r] == kFree) {
+        owner[r] = kHeld;
+        return r;
+      }
+    std::uint8_t victim = pool[0];
+    for (const std::uint8_t r : pool)
+      if (owner[r] >= 0 && (owner[victim] < 0 || owner[r] < owner[victim])) victim = r;
+    spill(owner[victim]);
+    owner[victim] = kHeld;
+    return victim;
+  }
+  Reg alloc_gpr() { return static_cast<Reg>(alloc(gpr_, kGprPool)); }
+  std::uint8_t alloc_xmm() { return alloc(xmm_, kXmmPool); }
+
+  /// Writes a (non-Flags) value's 64-bit slot bits to [rbp + disp]. Emits
+  /// only moves, so EFLAGS survive; a Mem source goes through rax.
+  void store_to(const Val& v, std::int32_t disp) {
+    switch (v.loc) {
+      case Loc::Gpr:
+        e_.store64(RBP, disp, static_cast<Reg>(v.reg));
+        break;
+      case Loc::Xmm:
+        if (v.f32) {
+          e_.movf_store(false, RBP, disp, v.reg);
+          e_.store_dword_imm(RBP, disp + 4, 0);  // canonical zero upper half
+        } else {
+          e_.movf_store(true, RBP, disp, v.reg);
+        }
+        break;
+      case Loc::Const:
+        if (fits_simm32(v.imm)) {
+          e_.store_imm32(RBP, disp, static_cast<std::int32_t>(v.imm));
+        } else {
+          e_.store_dword_imm(RBP, disp, static_cast<std::uint32_t>(v.imm));
+          e_.store_dword_imm(RBP, disp + 4, static_cast<std::uint32_t>(v.imm >> 32));
+        }
+        break;
+      case Loc::Mem:
+        if (static_cast<std::int32_t>(v.idx * 8) == disp) break;
+        e_.load64(RAX, RBP, static_cast<std::int32_t>(v.idx * 8));
+        e_.store64(RBP, disp, RAX);
+        break;
+      case Loc::Flags:
+        break;  // callers materialise flags first
+    }
+  }
+
+  /// Moves entry h to its canonical slot and frees its register.
+  void spill(int h) {
+    if (vs_[h].loc == Loc::Flags) materialize_flags();
+    store_to(vs_[h], slot_disp(h));
+    release(vs_[h]);
+    vs_[h] = canonical(h);
+  }
+  void flush_below(int limit) {
+    for (int k = 0; k < limit; ++k)
+      if (!is_canonical(k)) spill(k);
+  }
+  void flush_all() { flush_below(sp_); }
+
+  /// setcc (+ parity fold) into `r`; the only code that turns EFLAGS into
+  /// a 0/1 value.
+  void emit_setcc(const Flag& f, Reg r) {
+    e_.setcc(f.cc, r);
+    e_.movzx8_rr(r, r);
+    if (f.parity != 0) {
+      e_.setcc(f.parity == 1 ? CC_NP : CC_P, RAX);
+      e_.movzx8_rr(RAX, RAX);
+      if (f.parity == 1)
+        e_.and_rr(r, RAX, false);
+      else
+        e_.or_rr(r, RAX, false);
+    }
+  }
+  void materialize_flags() {
+    const int h = flags_h_;
+    flags_h_ = -1;
+    const Reg r = alloc_gpr();  // a spill is a plain store: flags survive
+    emit_setcc(vs_[h].fl, r);
+    vs_[h] = {.loc = Loc::Gpr, .reg = r};
+    gpr_[r] = h;
+  }
+
+  /// The live aliases of `local` read the value a write is about to
+  /// replace: load them into registers first.
+  void materialize_aliases(std::uint32_t local) {
+    for (int k = 0; k < sp_; ++k) {
+      if (vs_[k].loc != Loc::Mem || vs_[k].idx != local) continue;
+      const Reg r = alloc_gpr();
+      e_.load64(r, RBP, static_cast<std::int32_t>(local * 8));
+      vs_[k] = {.loc = Loc::Gpr, .reg = r};
+      gpr_[r] = k;
+    }
+  }
+
+  /// A popped value in a held GPR. Narrow (i32) loads from memory use the
+  /// zero-extending 32-bit form.
+  Reg to_gpr(const Val& v, bool wide) {
+    Reg r;
+    switch (v.loc) {
+      case Loc::Gpr:
+        return static_cast<Reg>(v.reg);
+      case Loc::Mem:
+        r = alloc_gpr();
+        if (wide)
+          e_.load64(r, RBP, static_cast<std::int32_t>(v.idx * 8));
+        else
+          e_.load32(r, RBP, static_cast<std::int32_t>(v.idx * 8));
+        return r;
+      case Loc::Const:
+        r = alloc_gpr();
+        e_.mov_imm(r, wide ? v.imm : static_cast<std::uint32_t>(v.imm));
+        return r;
+      case Loc::Xmm:
+        r = alloc_gpr();
+        e_.mov_rx(r, v.reg, !v.f32);
+        xmm_[v.reg] = kFree;
+        return r;
+      case Loc::Flags:
+        r = alloc_gpr();
+        emit_setcc(v.fl, r);
+        return r;
+    }
+    return RAX;
+  }
+
+  /// A popped value in a held XMM register. An f32 register read as 64
+  /// bits (f32 -> i32 -> i64 -> f64 reinterprets are identities) goes
+  /// through a GPR: its bits 32..63 are not the value's zero upper half.
+  std::uint8_t to_xmm(const Val& v, bool f64) {
+    std::uint8_t x;
+    switch (v.loc) {
+      case Loc::Xmm:
+        if (!v.f32 || !f64) return v.reg;
+        [[fallthrough]];
+      default: {
+        const Reg r = to_gpr(v, f64);
+        x = alloc_xmm();
+        e_.mov_xr(x, r, f64);
+        gpr_[r] = kFree;
+        return x;
+      }
+      case Loc::Mem:
+        x = alloc_xmm();
+        e_.movf_load(f64, x, RBP, static_cast<std::int32_t>(v.idx * 8));
+        return x;
+      case Loc::Const:
+        x = alloc_xmm();
+        if (v.imm == 0) {
+          e_.xorps_rr(x, x);
+        } else {
+          e_.mov_imm(RAX, v.imm);
+          e_.mov_xr(x, RAX, f64);
+        }
+        return x;
+    }
+  }
+
+  /// Right-hand operand of an integer ALU op: register, frame slot or imm32.
+  struct Opnd {
+    enum Kind : std::uint8_t { R, M, I } k;
+    Reg r;
+    std::int32_t v;  // M: displacement; I: immediate
+  };
+  Opnd operand(const Val& v, bool wide) {
+    if (v.loc == Loc::Mem) return {Opnd::M, RAX, static_cast<std::int32_t>(v.idx * 8)};
+    if (v.loc == Loc::Const && (!wide || fits_simm32(v.imm)))
+      return {Opnd::I, RAX, static_cast<std::int32_t>(static_cast<std::uint32_t>(v.imm))};
+    return {Opnd::R, to_gpr(v, wide), 0};
+  }
+  void release(const Opnd& o) {
+    if (o.k == Opnd::R) gpr_[o.r] = kFree;
+  }
+  /// dst = dst OP o. ext: add 0, or 1, and 4, sub 5, xor 6, cmp 7.
+  void alu(std::uint8_t ext, Reg dst, const Opnd& o, bool wide) {
+    switch (o.k) {
+      case Opnd::R:
+        e_.alu_rr(static_cast<std::uint8_t>(ext * 8 + 1), dst, o.r, wide);
+        break;
+      case Opnd::M:
+        e_.alu_rm(static_cast<std::uint8_t>(ext * 8 + 3), dst, RBP, o.v, wide);
+        break;
+      case Opnd::I:
+        e_.alu_ri(ext, dst, o.v, wide);
+        break;
+    }
+  }
+
+  /// Flag that is true iff the popped i32 `c` is non-zero (emits the test).
+  Flag test_nonzero(const Val& c) {
+    if (c.loc == Loc::Flags) return c.fl;
+    if (c.loc == Loc::Mem) {
+      e_.alu_mi(7, RBP, static_cast<std::int32_t>(c.idx * 8), 0, false);
+    } else {
+      const Reg r = to_gpr(c, false);
+      e_.test_rr(r, r, false);
+      gpr_[r] = kFree;
+    }
+    return {CC_NE, 0};
+  }
+
+  /// Jumps to `target_pc` when `f` holds.
+  void jump_if(const Flag& f, std::uint32_t target_pc) {
+    if (f.parity == 1) {  // cc AND ordered
+      const std::size_t skip = e_.jcc(CC_P);
+      fixups_.push_back({e_.jcc(f.cc), target_pc});
+      e_.patch_rel32(skip, e_.size());
+    } else {
+      if (f.parity == 2) fixups_.push_back({e_.jcc(CC_P), target_pc});
+      fixups_.push_back({e_.jcc(f.cc), target_pc});
+    }
+  }
+  /// Forward jump sites taken when `f` holds (patched by the caller).
+  std::vector<std::size_t> skip_if(const Flag& f) {
+    std::vector<std::size_t> sites;
+    if (f.parity == 1) {
+      const std::size_t ordered = e_.jcc(CC_P);
+      sites.push_back(e_.jcc(f.cc));
+      e_.patch_rel32(ordered, e_.size());
+    } else {
+      if (f.parity == 2) sites.push_back(e_.jcc(CC_P));
+      sites.push_back(e_.jcc(f.cc));
+    }
+    return sites;
+  }
+
+  /// Ops that may run while a compare's boolean is still in EFLAGS: they
+  /// emit nothing, or consume the flags themselves.
+  bool keeps_flags(const Instr& ins) const {
+    switch (ins.op) {
       case kNop:
-      case kUnreachable:
-      case kBr:
-      case kBrIf:
-      case kInstrBrIfFalse:
-      case kReturn:
       case kDrop:
-      case kSelect:
       case kLocalGet:
-      case kLocalSet:
-      case kLocalTee:
-      case kGlobalGet:
-      case kGlobalSet:
-      case kMemorySize:
       case kI32Const:
       case kI64Const:
       case kF32Const:
       case kF64Const:
         return true;
-      // Float ceil/floor/trunc/nearest still run through the thunk
-      // (scalar rounding needs SSE4.1 roundsd; SSE2 keeps the baseline
-      // portable), as do clz/ctz/popcnt and the saturating truncations.
-      case kF32Abs:
-      case kF32Neg:
-      case kF32Sqrt:
-      case kF64Abs:
-      case kF64Neg:
-      case kF64Sqrt:
-        return true;
-      default:
-        break;
-    }
-    if (op >= kI32Load && op <= kI64Load32U) return true;
-    if (op >= kI32Store && op <= kI64Store32) return true;
-    if (cmp_info(op)) return true;
-    if (op >= kF32Eq && op <= kF64Ge) return true;
-    if (op >= kI32Add && op <= kI32Rotr) return true;
-    if (op >= kI64Add && op <= kI64Rotr) return true;
-    if (op >= kF32Add && op <= kF32Copysign) return true;
-    if (op >= kF64Add && op <= kF64Copysign) return true;
-    if (op >= kI32WrapI64 && op <= kI64Extend32S) return true;
-    return false;
-  }
-
-  bool reg_eligible() const {
-    if (num_locals_ + func_.max_operand_height > 8) return false;
-    const auto& code = func_.code;
-    for (std::size_t pc = 0; pc < code.size(); ++pc) {
-      if (dead_[pc]) continue;
-      if (!lowers_inline(code[pc].op)) return false;
-    }
-    return true;
-  }
-
-  // -- frame helpers ----------------------------------------------------------
-
-  std::int32_t local_disp(std::uint32_t idx) const {
-    return static_cast<std::int32_t>(idx * 8);
-  }
-  std::int32_t slot_disp(int h) const {
-    return static_cast<std::int32_t>((num_locals_ + h) * 8);
-  }
-  /// Frame displacement to READ operand `h` from: the aliased local's slot
-  /// while a deferred local.get is pending, the operand slot otherwise.
-  std::int32_t operand_disp(int h) const {
-    const std::int32_t p = pending_[static_cast<std::size_t>(h)];
-    return p >= 0 ? p * 8 : slot_disp(h);
-  }
-
-  void load_slot(Reg r, int h, bool wide = true) {
-    if (reg_mode_) {
-      e_.mov_rr(r, operand_reg(h), wide);
-      return;
-    }
-    if (wide)
-      e_.load64(r, RBP, operand_disp(h));
-    else
-      e_.load32(r, RBP, operand_disp(h));
-  }
-  void store_slot(int h, Reg r) {
-    if (reg_mode_) {
-      e_.mov_rr(operand_reg(h), r);
-      return;
-    }
-    pending_[static_cast<std::size_t>(h)] = -1;
-    e_.store64(RBP, slot_disp(h), r);
-  }
-  /// Stores an op's single result at height `h` — or straight into the
-  /// destination local when a trailing `local.set` sink is armed.
-  void store_result(int h, Reg r) {
-    if (!reg_mode_ && sink_disp_ >= 0) {
-      sink_used_ = true;
-      e_.store64(RBP, sink_disp_, r);
-      return;
-    }
-    store_slot(h, r);
-  }
-
-  void load_f(std::uint8_t x, int h, bool f64) {
-    if (reg_mode_) {
-      e_.mov_xr(x, operand_reg(h), f64);
-      return;
-    }
-    e_.movf_load(f64, x, RBP, operand_disp(h));
-  }
-  /// f64 results store scalar; f32 results bounce through a GPR (movd
-  /// zero-extends) so the 64-bit slot keeps canonical zero upper bits.
-  void store_f64_result(int h, std::uint8_t x) {
-    if (reg_mode_) {
-      e_.mov_rx(operand_reg(h), x, true);
-      return;
-    }
-    if (sink_disp_ >= 0) {
-      sink_used_ = true;
-      e_.movf_store(true, RBP, sink_disp_, x);
-      return;
-    }
-    pending_[static_cast<std::size_t>(h)] = -1;
-    e_.movf_store(true, RBP, slot_disp(h), x);
-  }
-  void store_f32_result(int h, std::uint8_t x) {
-    e_.mov_rx(RAX, x, false);
-    store_result(h, RAX);
-  }
-
-  // -- pending local.get bookkeeping (frame mode) -----------------------------
-  //
-  // pending_[h] >= 0 means operand height h is a deferred `local.get` of
-  // that local: no code was emitted, and readers take the local's slot as
-  // their memory operand. Every write of an operand slot clears its entry;
-  // control-flow edges and helper boundaries flush live entries so the
-  // frame matches the static layout wherever paths merge or C++ looks.
-
-  void consume(int h) {
-    if (!reg_mode_) pending_[static_cast<std::size_t>(h)] = -1;
-  }
-  void flush_one(std::size_t h) {
-    e_.load64(RAX, RBP, pending_[h] * 8);
-    e_.store64(RBP, slot_disp(static_cast<int>(h)), RAX);
-    pending_[h] = -1;
-  }
-  /// Flushes entries below `limit` (clobbers rax). Entries at or above the
-  /// current height are stale junk; materialising them is harmless but
-  /// flush_below lets the hot cmp+branch fusion skip its popped operands.
-  void flush_below(int limit) {
-    if (reg_mode_) return;
-    const std::size_t lim =
-        std::min(pending_.size(), static_cast<std::size_t>(limit < 0 ? 0 : limit));
-    for (std::size_t h = 0; h < lim; ++h)
-      if (pending_[h] >= 0) flush_one(h);
-  }
-  void flush_all() {
-    if (reg_mode_) return;
-    for (std::size_t h = 0; h < pending_.size(); ++h)
-      if (pending_[h] >= 0) flush_one(h);
-  }
-  /// Flushes entries aliasing `local` before that local is overwritten.
-  void flush_aliased(std::uint32_t local) {
-    if (reg_mode_) return;
-    for (std::size_t h = 0; h < pending_.size(); ++h)
-      if (pending_[h] == static_cast<std::int32_t>(local)) flush_one(h);
-  }
-
-  /// Ops that leave straight-line code: every pending alias must be in its
-  /// operand slot before the transfer / helper inspects the frame.
-  static bool needs_flush(std::uint16_t op) {
-    switch (op) {
-      case kUnreachable:
-      case kBr:
       case kBrIf:
       case kInstrBrIfFalse:
-      case kBrTable:
-      case kReturn:
-      case kCall:
-      case kCallIndirect:
-      case kMemoryGrow:
-      case kInstrMemCopy:
-      case kInstrMemFill:
-        return true;
+      case kSelect:
+      case kI32Eqz:
+        return flags_h_ == sp_ - 1;
+      case kI32Eq:
+      case kI32Ne:
+        return flags_h_ == sp_ - 2 && vs_[sp_ - 1].loc == Loc::Const &&
+               static_cast<std::uint32_t>(vs_[sp_ - 1].imm) == 0;
       default:
         return false;
     }
   }
 
-  /// ctx->sp = ctx->base + num_locals + h (the dynamic height helpers see).
-  void spill_sp(int h) {
-    e_.load64(RAX, R15, 16);
-    e_.lea_disp(RAX, RAX, static_cast<std::int32_t>(num_locals_ + h));
-    e_.store64(R15, 8, RAX);
+  // -- context / helper plumbing ------------------------------------------------
+
+  std::int32_t local_disp(std::uint32_t idx) const {
+    return static_cast<std::int32_t>(idx * 8);
   }
 
-  /// Re-derives rbp/r13/r14 from the context (a helper may have moved the
-  /// operand-stack storage or grown memory).
+  /// ctx->sp = ctx->base + num_locals + h (the dynamic height helpers see).
+  void spill_sp(int h) {
+    e_.load64(RAX, R15, kCtxBase);
+    e_.lea_disp(RAX, RAX, static_cast<std::int32_t>(num_locals_ + h));
+    e_.store64(R15, kCtxSp, RAX);
+  }
+
+  /// Re-derives rbp/r13/r14 from the context (a helper or callee may have
+  /// moved the operand-stack storage or grown memory).
   void reload_pinned() {
-    e_.load64(RAX, R15, 0);   // stack_base
-    e_.load64(RCX, R15, 16);  // base
+    e_.load64(RAX, R15, 0);         // stack_base
+    e_.load64(RCX, R15, kCtxBase);  // base
     e_.lea_scaled8(RBP, RAX, RCX);
     e_.load64(R13, R15, 24);  // mem_base
     e_.load64(R14, R15, 32);  // mem_size
   }
 
   void trap_check() {
-    e_.cmp_m64_imm8(R15, 72, 0);
+    e_.cmp_m64_imm8(R15, kCtxTrapCode, 0);
     exit_sites_.push_back(e_.jcc(CC_NE));
   }
 
@@ -489,174 +653,500 @@ class FnCompiler {
     e_.call_r(RAX);
   }
 
-  void emit_trap_jump(int code) {
-    trap_sites_[code].push_back(e_.jmp());
+  /// The full helper protocol: canonical frame, dynamic sp, call, re-pin,
+  /// trap check. `arg` (when >= 0) goes in esi.
+  template <typename Fn>
+  void helper_op(Fn* fn, int h, std::int64_t arg, int delta) {
+    flush_all();
+    spill_sp(h);
+    e_.mov_rr(RDI, R15);
+    if (arg >= 0) e_.mov_ri32(RSI, static_cast<std::uint32_t>(arg));
+    call_helper(fn);
+    reload_pinned();
+    trap_check();
+    reset(h + delta);
   }
 
-  /// Computes the effective address (addr32 + offset) into rax and emits
-  /// the bounds check `ea + width <= mem_size` (clobbers rcx).
-  void emit_addr(int h_addr, std::uint64_t offset, std::uint32_t width) {
-    load_slot(RAX, h_addr, false);
-    if (offset != 0) {
-      if (offset <= 0x7fffffff) {
-        e_.lea_disp(RAX, RAX, static_cast<std::int32_t>(offset));
-      } else {
-        e_.mov_ri32(RCX, static_cast<std::uint32_t>(offset));
-        e_.add_rr(RAX, RCX, true);
-      }
+  /// Bounds-checks `addr + offset + width <= mem_size` and returns the
+  /// [r13 + index + disp] operand of the access (clobbers rax/rcx).
+  std::pair<Reg, std::int32_t> emit_addr(Reg addr, std::uint64_t offset,
+                                         std::uint32_t width) {
+    if (offset + width <= 0x7fffffffull) {
+      e_.lea_disp(RAX, addr, static_cast<std::int32_t>(offset + width));
+      e_.cmp_rr(RAX, R14, true);
+      trap_sites_[kTrapOob].push_back(e_.jcc(CC_A));
+      return {addr, static_cast<std::int32_t>(offset)};
     }
+    e_.mov_imm(RAX, offset);
+    e_.add_rr(RAX, addr, true);
     e_.lea_disp(RCX, RAX, static_cast<std::int32_t>(width));
     e_.cmp_rr(RCX, R14, true);
     trap_sites_[kTrapOob].push_back(e_.jcc(CC_A));
+    return {RAX, 0};
   }
 
-  void emit_compare_bool(const CmpInfo& ci, int h) {
-    if (ci.eqz) {
-      load_slot(RAX, h - 1, ci.wide);
-      e_.test_rr(RAX, RAX, ci.wide);
-      e_.setcc(CC_E, RAX);
-      e_.movzx8_rr(RAX, RAX);
-      store_result(h - 1, RAX);
+  // -- emission -----------------------------------------------------------------
+
+  void emit_prologue() {
+    e_.push_r(RBP);
+    e_.push_r(RBX);
+    e_.push_r(R12);
+    e_.push_r(R13);
+    e_.push_r(R14);
+    e_.push_r(R15);
+    e_.sub_rsp8();  // keeps rsp 16-byte aligned at call sites
+    e_.mov_rr(R15, RDI);
+    // Frame capacity: the AOT stream's `need` and resize policy.
+    e_.load64(RAX, R15, kCtxBase);
+    e_.lea_disp(RSI, RAX,
+                static_cast<std::int32_t>(num_locals_ + func_.max_operand_height + 8));
+    e_.alu_rm(0x3B, RSI, R15, kCtxStackSize, true);  // cmp need, stack_size
+    const std::size_t fits = e_.jcc(CC_BE);
+    e_.mov_rr(RDI, R15);
+    call_helper(&jit_helper_grow_stack);
+    e_.patch_rel32(fits, e_.size());
+    reload_pinned();
+    // Zero the non-parameter locals.
+    const std::uint32_t zeros = num_locals_ - func_.num_params;
+    if (zeros <= 8) {
+      for (std::uint32_t i = func_.num_params; i < num_locals_; ++i)
+        e_.store_imm32(RBP, local_disp(i), 0);
     } else {
-      load_slot(RAX, h - 2, ci.wide);
-      if (reg_mode_) {
-        load_slot(RCX, h - 1, ci.wide);
-        e_.cmp_rr(RAX, RCX, ci.wide);
-      } else {
-        e_.alu_rm(0x3B, RAX, RBP, operand_disp(h - 1), ci.wide);
-      }
-      e_.setcc(ci.cc, RAX);
-      e_.movzx8_rr(RAX, RAX);
-      store_result(h - 2, RAX);
+      e_.mov_ri32(RAX, 0);
+      e_.lea_disp(RDI, RBP, local_disp(func_.num_params));
+      e_.mov_ri32(RCX, zeros);
+      e_.rep_stosq();
     }
+  }
+
+  bool emit_body() {
+    const auto& code = func_.code;
+    const std::size_t n = code.size();
+    offsets_.assign(n, 0);
+    bool reachable = true;
+    for (std::size_t pc = 0; pc < n; ++pc) {
+      if (dead_[pc]) {  // unreachable: prescan proved nothing lands here
+        offsets_[pc] = e_.size();
+        continue;
+      }
+      if (is_target_[pc]) {
+        // Every edge into a merge point arrives with the canonical frame:
+        // jumpers flushed at their branch, the fall-through flushes here.
+        if (reachable) flush_all();
+        reset(height_[pc]);
+        reachable = true;
+      }
+      offsets_[pc] = e_.size();
+      const Instr& ins = code[pc];
+      if (sp_ != height_[pc]) return refuse(ins.op);  // codegen/prescan drift
+      if (flags_h_ >= 0 && !keeps_flags(ins)) materialize_flags();
+      if (!emit_op(ins, reachable)) {
+        refused_op_ = ins.op;
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Stack-shaped and control ops; everything table-shaped goes on to
+  /// emit_numeric. `reachable` is cleared after an unconditional transfer.
+  bool emit_op(const Instr& ins, bool& reachable) {
+    const int h = sp_;
+    switch (ins.op) {
+      case kNop:
+        return true;
+      case kUnreachable:
+        trap_sites_[kTrapUnreachable].push_back(e_.jmp());
+        reachable = false;
+        return true;
+
+      case kBr: {
+        const int drop = static_cast<int>(ins.imm);
+        if (ins.aux == 1 && drop > 0) {
+          Val v = pop();
+          flush_below(sp_ - drop);
+          store_to(v, slot_disp(sp_ - drop));
+          release(v);
+        } else {
+          flush_below(h - drop);
+        }
+        fixups_.push_back({e_.jmp(), ins.a});
+        reachable = false;
+        return true;
+      }
+      case kBrIf: {
+        const Val c = pop();
+        const int drop = static_cast<int>(ins.imm);
+        const bool keep = ins.aux == 1 && drop > 0;
+        // The taken edge keeps heights [0, target); the fall-through keeps
+        // its cache above that.
+        const int target_h = sp_ - drop;
+        flush_below(keep ? target_h - 1 : target_h);
+        const Flag f = test_nonzero(c);
+        release(c);
+        if (!keep) {
+          jump_if(f, ins.a);
+          return true;
+        }
+        const std::vector<std::size_t> skip = skip_if(negate(f));
+        store_to(vs_[sp_ - 1], slot_disp(target_h - 1));
+        fixups_.push_back({e_.jmp(), ins.a});
+        for (const std::size_t at : skip) e_.patch_rel32(at, e_.size());
+        return true;
+      }
+      case kInstrBrIfFalse: {
+        const Val c = pop();
+        flush_all();
+        const Flag f = test_nonzero(c);
+        release(c);
+        jump_if(negate(f), ins.a);
+        return true;
+      }
+      case kBrTable: {
+        flush_all();
+        spill_sp(h);
+        e_.mov_rr(RDI, R15);
+        e_.mov_ri64(RSI, reinterpret_cast<std::uint64_t>(&func_.tables[ins.a]));
+        e_.mov_ri32(RDX, static_cast<std::uint32_t>(ins.imm));
+        call_helper(&jit_helper_br_table);
+        // rax = target pc. The helper only memmoves within the stack, so
+        // the pinned registers stay valid — dispatch straight through the
+        // appended pc->offset table (position-independent via rip).
+        const std::size_t table_at = e_.lea_rip(RCX);
+        e_.load32_scaled4(RDX, RCX, RAX);
+        const std::size_t base_at = e_.lea_rip(RCX);
+        e_.add_rr(RCX, RDX, true);
+        e_.jmp_r(RCX);
+        table_sites_.push_back({table_at, base_at});
+        reachable = false;
+        return true;
+      }
+      case kReturn: {
+        if (ins.aux == 1) {
+          Val v = pop();
+          store_to(v, 0);  // result to stack[base]
+          release(v);
+        }
+        e_.load64(RAX, R15, kCtxBase);
+        if (ins.aux != 0) e_.lea_disp(RAX, RAX, static_cast<std::int32_t>(ins.aux));
+        e_.store64(R15, kCtxSp, RAX);  // ctx->sp = base + keep
+        exit_sites_.push_back(e_.jmp());
+        reachable = false;
+        return true;
+      }
+
+      case kCall:
+        emit_call(ins, h);
+        return true;
+      case kCallIndirect:
+        helper_op(&jit_helper_call_indirect, h, ins.a, *op_delta(module_, ins));
+        return true;
+
+      case kDrop:
+        release(pop());
+        return true;
+      case kSelect:
+        emit_select();
+        return true;
+
+      case kLocalGet:  // alias: consumers read the local's slot
+        push({.idx = ins.a});
+        return true;
+      case kLocalSet: {
+        Val v = pop();
+        if (v.loc == Loc::Mem && v.idx == ins.a) return true;
+        materialize_aliases(ins.a);
+        store_to(v, local_disp(ins.a));
+        release(v);
+        return true;
+      }
+      case kLocalTee: {
+        if (vs_[sp_ - 1].loc == Loc::Mem && vs_[sp_ - 1].idx == ins.a) return true;
+        Val v = pop();
+        materialize_aliases(ins.a);
+        if (v.loc == Loc::Mem) v = {.loc = Loc::Gpr, .reg = to_gpr(v, true)};
+        store_to(v, local_disp(ins.a));
+        push(v);
+        return true;
+      }
+      case kGlobalGet: {
+        const Reg r = alloc_gpr();
+        e_.load64(r, R15, kCtxGlobals);
+        e_.load64(r, r, static_cast<std::int32_t>(ins.a * 16 + 8));
+        push_gpr(r);
+        return true;
+      }
+      case kGlobalSet: {
+        const Val v = pop();
+        const Reg r = to_gpr(v, true);
+        e_.load64(RAX, R15, kCtxGlobals);
+        e_.store64(RAX, static_cast<std::int32_t>(ins.a * 16 + 8), r);
+        gpr_[r] = kFree;
+        return true;
+      }
+
+      case kMemorySize: {
+        const Reg r = alloc_gpr();
+        e_.mov_rr(r, R14);
+        e_.shift_ri(5, r, 16, true);  // bytes -> 64 KiB pages
+        push_gpr(r);
+        return true;
+      }
+      case kMemoryGrow:  // grow itself never traps; the check is a no-op
+        helper_op(&jit_helper_memory_grow, h, -1, 0);
+        return true;
+      case kInstrMemCopy:
+        helper_op(&jit_helper_mem_copy, h, -1, -3);
+        return true;
+      case kInstrMemFill:
+        helper_op(&jit_helper_mem_fill, h, -1, -3);
+        return true;
+
+      case kI32Const:
+      case kI64Const:
+      case kF32Const:
+      case kF64Const:
+        push({.loc = Loc::Const, .imm = ins.imm});
+        return true;
+
+      default:
+        return emit_numeric(ins, h);
+    }
+  }
+
+  /// Direct native-to-native call when the callee's entry is installed,
+  /// else (and for host imports) the jit_helper_call round trip.
+  void emit_call(const Instr& ins, int h) {
+    const FuncType& type = module_.func_type(ins.a);
+    const int params = static_cast<int>(type.params.size());
+    const int results = static_cast<int>(type.results.size());
+    flush_all();
+    const std::uint32_t imports = module_.num_imported_funcs();
+    std::size_t join = 0;
+    const bool direct = ins.a >= imports;
+    if (direct) {
+      e_.load64(RAX, R15, kCtxEntries);
+      e_.load64(RAX, RAX, static_cast<std::int32_t>((ins.a - imports) * 8));
+      e_.test_rr(RAX, RAX, true);
+      const std::size_t slow = e_.jcc(CC_E);
+      e_.alu_mi(7, R15, kCtxDepth, kMaxCallDepth, true);
+      trap_sites_[kTrapCallDepth].push_back(e_.jcc(CC_GE));
+      // Callee frame base = caller base + num_locals + h - params.
+      const std::int32_t delta = static_cast<std::int32_t>(num_locals_) + h - params;
+      e_.alu_mi(0, R15, kCtxDepth, 1, true);
+      e_.alu_mi(0, R15, kCtxBase, delta, true);
+      e_.alu_mi(0, R15, kCtxNativeCalls, 1, true);
+      e_.mov_rr(RDI, R15);
+      e_.call_r(RAX);
+      e_.alu_mi(5, R15, kCtxBase, delta, true);
+      e_.alu_mi(5, R15, kCtxDepth, 1, true);
+      join = e_.jmp();
+      e_.patch_rel32(slow, e_.size());
+    }
+    spill_sp(h);
+    e_.mov_rr(RDI, R15);
+    e_.mov_ri32(RSI, ins.a);
+    call_helper(&jit_helper_call);
+    if (direct) e_.patch_rel32(join, e_.size());
+    reload_pinned();
+    trap_check();
+    reset(h - params + results);
+  }
+
+  /// select: cmov on the live compare flags, or on a test of the condition.
+  void emit_select() {
+    const Val c = pop();
+    const Val v2 = pop();
+    const Val v1 = pop();
+    const bool live = c.loc == Loc::Flags && c.fl.parity == 0;
+    Reg rc = RAX;
+    if (!live && c.loc != Loc::Mem) rc = to_gpr(c, false);
+    // Loading the arms emits only moves: live flags survive.
+    const Reg r1 = to_gpr(v1, true);
+    const Opnd o2 = v2.loc == Loc::Mem ? operand(v2, true)
+                                       : Opnd{Opnd::R, to_gpr(v2, true), 0};
+    Flag f = c.fl;
+    if (!live) {
+      if (c.loc == Loc::Mem)
+        e_.alu_mi(7, RBP, static_cast<std::int32_t>(c.idx * 8), 0, false);
+      else
+        e_.test_rr(rc, rc, false);
+      f = {CC_NE, 0};
+      if (c.loc != Loc::Mem) gpr_[rc] = kFree;
+    }
+    const Cond take_v2 = negate(f).cc;
+    if (o2.k == Opnd::M)
+      e_.cmovcc_rm(take_v2, r1, RBP, o2.v);
+    else
+      e_.cmovcc(take_v2, r1, o2.r);
+    release(o2);
+    push_gpr(r1);
+  }
+
+  /// div/rem with the wasm trap/edge semantics (divide-by-zero trap,
+  /// INT_MIN/-1 overflow trap for div_s, INT_MIN%-1 == 0 for rem_s).
+  void emit_div(bool wide, bool is_signed, bool is_rem) {
+    const Val b = pop();
+    const Val a = pop();
+    const Reg ra = to_gpr(a, wide);
+    const Reg rb = to_gpr(b, wide);
+    e_.mov_rr(RAX, ra, wide);
+    e_.test_rr(rb, rb, wide);
+    trap_sites_[kTrapDivZero].push_back(e_.jcc(CC_E));
+    Reg result = RAX;
+    if (is_signed) {
+      if (is_rem) {
+        // divisor == -1 => remainder 0 (also sidesteps the INT_MIN idiv #DE)
+        e_.cmp_ri(rb, -1, wide);
+        const std::size_t zero_site = e_.jcc(CC_E);
+        if (wide)
+          e_.cqo();
+        else
+          e_.cdq();
+        e_.idiv(rb, wide);
+        const std::size_t done_site = e_.jmp();
+        e_.patch_rel32(zero_site, e_.size());
+        e_.xor_rr(RDX, RDX, false);
+        e_.patch_rel32(done_site, e_.size());
+        result = RDX;
+      } else {
+        if (wide) {
+          e_.mov_ri64(RDX, 0x8000000000000000ull);
+          e_.cmp_rr(RAX, RDX, true);
+        } else {
+          e_.cmp_ri(RAX, std::numeric_limits<std::int32_t>::min(), false);
+        }
+        const std::size_t ok_site = e_.jcc(CC_NE);
+        e_.cmp_ri(rb, -1, wide);
+        trap_sites_[kTrapOverflow].push_back(e_.jcc(CC_E));
+        e_.patch_rel32(ok_site, e_.size());
+        if (wide)
+          e_.cqo();
+        else
+          e_.cdq();
+        e_.idiv(rb, wide);
+      }
+    } else {
+      e_.xor_rr(RDX, RDX, false);
+      e_.div(rb, wide);
+      if (is_rem) result = RDX;
+    }
+    e_.mov_rr(ra, result, wide);
+    gpr_[rb] = kFree;
+    push_gpr(ra);
   }
 
   /// Float comparison via ucomis: unordered sets ZF=PF=CF=1, so lt/le test
   /// the swapped-operand above/above-equal forms (false on NaN), and eq/ne
-  /// fold the parity flag explicitly.
-  void emit_fcompare(std::uint16_t op, int h) {
+  /// fold the parity flag.
+  void emit_fcompare(std::uint16_t op) {
     const bool f64 = op >= kF64Eq;
     const std::uint16_t rel = op - (f64 ? kF64Eq : kF32Eq);
-    load_f(0, h - 2, f64);
-    load_f(1, h - 1, f64);
-    switch (rel) {
-      case 0:  // eq: equal AND ordered
-        e_.ucomis_rr(f64, 0, 1);
-        e_.setcc(CC_E, RAX);
-        e_.setcc(CC_NP, RCX);
-        e_.movzx8_rr(RAX, RAX);
-        e_.movzx8_rr(RCX, RCX);
-        e_.and_rr(RAX, RCX, false);
-        break;
-      case 1:  // ne: not-equal OR unordered
-        e_.ucomis_rr(f64, 0, 1);
-        e_.setcc(CC_NE, RAX);
-        e_.setcc(CC_P, RCX);
-        e_.movzx8_rr(RAX, RAX);
-        e_.movzx8_rr(RCX, RCX);
-        e_.or_rr(RAX, RCX, false);
-        break;
-      case 2:  // lt: b > a
-        e_.ucomis_rr(f64, 1, 0);
-        e_.setcc(CC_A, RAX);
-        e_.movzx8_rr(RAX, RAX);
-        break;
-      case 3:  // gt
-        e_.ucomis_rr(f64, 0, 1);
-        e_.setcc(CC_A, RAX);
-        e_.movzx8_rr(RAX, RAX);
-        break;
-      case 4:  // le: b >= a
-        e_.ucomis_rr(f64, 1, 0);
-        e_.setcc(CC_AE, RAX);
-        e_.movzx8_rr(RAX, RAX);
-        break;
-      default:  // ge
-        e_.ucomis_rr(f64, 0, 1);
-        e_.setcc(CC_AE, RAX);
-        e_.movzx8_rr(RAX, RAX);
-        break;
-    }
-    store_result(h - 2, RAX);
+    // eq: equal AND ordered; ne: not-equal OR unordered; lt/le: b > a,
+    // b >= a; gt/ge: a > b, a >= b.
+    static constexpr struct {
+      bool swap;
+      Flag f;
+    } kShapes[6] = {{false, {CC_E, 1}}, {false, {CC_NE, 2}}, {true, {CC_A, 0}},
+                    {false, {CC_A, 0}}, {true, {CC_AE, 0}}, {false, {CC_AE, 0}}};
+    const Val b = pop();
+    const Val a = pop();
+    const std::uint8_t xa = to_xmm(a, f64);
+    const std::uint8_t xb = to_xmm(b, f64);
+    const auto& shape = kShapes[rel];
+    if (shape.swap)
+      e_.ucomis_rr(f64, xb, xa);
+    else
+      e_.ucomis_rr(f64, xa, xb);
+    xmm_[xa] = kFree;
+    xmm_[xb] = kFree;
+    push_flags(shape.f);
   }
 
   /// wasm min/max: NaN either side -> the positive canonical quiet NaN;
   /// equal operands merge sign bits (orpd keeps -0 for min, andpd keeps +0
   /// for max — exactly the interpreter's signbit selection across all four
   /// zero pairings); otherwise the plain ordered pick.
-  void emit_fminmax(int h, bool f64, bool is_min) {
-    load_f(0, h - 2, f64);  // a
-    load_f(1, h - 1, f64);  // b
-    e_.ucomis_rr(f64, 0, 1);
+  void emit_fminmax(bool f64, bool is_min) {
+    const Val b = pop();
+    const Val a = pop();
+    const std::uint8_t xa = to_xmm(a, f64);
+    const std::uint8_t xb = to_xmm(b, f64);
+    e_.ucomis_rr(f64, xa, xb);
     const std::size_t nan_site = e_.jcc(CC_P);
     const std::size_t eq_site = e_.jcc(CC_E);
     const std::size_t keep_site = e_.jcc(is_min ? CC_B : CC_A);  // keep a
-    e_.movaps_rr(0, 1);                                          // take b
+    e_.movaps_rr(xa, xb);                                        // take b
     const std::size_t done1 = e_.jmp();
     e_.patch_rel32(eq_site, e_.size());
     if (is_min)
-      e_.orpd_rr(0, 1);
+      e_.orpd_rr(xa, xb);
     else
-      e_.andpd_rr(0, 1);
+      e_.andpd_rr(xa, xb);
     const std::size_t done2 = e_.jmp();
     e_.patch_rel32(nan_site, e_.size());
     if (f64) {
       e_.mov_ri64(RAX, 0x7ff8000000000000ull);
-      e_.mov_xr(0, RAX, true);
+      e_.mov_xr(xa, RAX, true);
     } else {
       e_.mov_ri32(RAX, 0x7fc00000u);
-      e_.mov_xr(0, RAX, false);
+      e_.mov_xr(xa, RAX, false);
     }
     e_.patch_rel32(keep_site, e_.size());
     e_.patch_rel32(done1, e_.size());
     e_.patch_rel32(done2, e_.size());
-    if (f64)
-      store_f64_result(h - 2, 0);
-    else
-      store_f32_result(h - 2, 0);
+    xmm_[xb] = kFree;
+    push_xmm(xa, f64);
   }
 
   /// u64 -> f32/f64: cvtsi2sd directly when the top bit is clear; else
   /// halve with the low bit folded in (round-to-odd, exact) and double the
   /// result — the correctly-rounded sequence GCC emits for the C++ cast,
   /// so all tiers agree bit-for-bit.
-  void emit_convert_u64(int h, bool f64) {
-    load_slot(RAX, h - 1, true);
-    e_.test_rr(RAX, RAX, true);
+  void emit_convert_u64(bool f64) {
+    const Val a = pop();
+    const Reg r = to_gpr(a, true);
+    const std::uint8_t x = alloc_xmm();
+    e_.test_rr(r, r, true);
     const std::size_t big = e_.jcc(CC_S);
-    e_.cvt_i2f(f64, true, 0, RAX);
+    e_.cvt_i2f(f64, true, x, r);
     const std::size_t done = e_.jmp();
     e_.patch_rel32(big, e_.size());
-    e_.mov_rr(RCX, RAX);
-    e_.shift_ri(5, RCX, 1, true);  // rcx = x >> 1
-    e_.alu_ri(4, RAX, 1, false);   // eax = x & 1
-    e_.or_rr(RCX, RAX, true);
-    e_.cvt_i2f(f64, true, 0, RCX);
-    e_.sse_arith_rr(f64, 0x58, 0, 0);  // x2
+    e_.mov_rr(RAX, r);
+    e_.shift_ri(5, RAX, 1, true);  // rax = x >> 1
+    e_.mov_rr(RCX, r, false);
+    e_.alu_ri(4, RCX, 1, false);   // ecx = x & 1
+    e_.or_rr(RAX, RCX, true);
+    e_.cvt_i2f(f64, true, x, RAX);
+    e_.sse_arith_rr(f64, 0x58, x, x);  // x2
     e_.patch_rel32(done, e_.size());
-    if (f64)
-      store_f64_result(h - 1, 0);
-    else
-      store_f32_result(h - 1, 0);
+    gpr_[r] = kFree;
+    push_xmm(x, f64);
   }
 
   /// Trapping float->int truncation. The operand is promoted to f64
-  /// (exact) and range-checked there: the bounds are chosen so `v` passes
-  /// iff trunc(v) is representable, matching the interpreter's
+  /// (exact) in xmm0 and range-checked there: the bounds are chosen so `v`
+  /// passes iff trunc(v) is representable, matching the interpreter's
   /// trunc_checked exactly (including the -2^63 edge, where the exact
   /// minimum is representable and the check is >=). The opcode lands in
   /// ctx->trap_aux before any check so the entry thunk can rebuild the
   /// canonical per-op message.
-  void emit_trunc(std::uint16_t op, int h) {
+  void emit_trunc(std::uint16_t op) {
     const bool src_f64 = op == kI32TruncF64S || op == kI32TruncF64U ||
                          op == kI64TruncF64S || op == kI64TruncF64U;
     const bool wide = op >= kI64TruncF32S;
     const bool uns = op == kI32TruncF32U || op == kI32TruncF64U ||
                      op == kI64TruncF32U || op == kI64TruncF64U;
-    load_f(0, h - 1, src_f64);
-    if (!src_f64) e_.cvtss2sd(0, 0);
-    e_.store_imm32(R15, 144, op);  // trap_aux = opcode, for the message
-    e_.ucomis_rr(true, 0, 0);      // NaN is the only unordered-with-self
+    const Val a = pop();
+    const std::uint8_t x = to_xmm(a, src_f64);
+    if (src_f64)
+      e_.movaps_rr(0, x);
+    else
+      e_.cvtss2sd(0, x);
+    xmm_[x] = kFree;
+    const Reg r = alloc_gpr();
+    e_.store_imm32(R15, kCtxTrapAux, op);  // trap_aux = opcode, for the message
+    e_.ucomis_rr(true, 0, 0);              // NaN is the only unordered-with-self
     trap_sites_[kTrapTruncNan].push_back(e_.jcc(CC_P));
     double lo, hi;
     bool lo_strict;  // strict: require v > lo; else require v >= lo
@@ -686,11 +1176,9 @@ class FnCompiler {
     e_.ucomis_rr(true, 0, 1);
     trap_sites_[kTrapTruncOverflow].push_back(e_.jcc(CC_AE));
     if (!wide && !uns) {
-      e_.cvtt_f2i(true, false, RAX, 0);  // eax (zero-extends)
-    } else if (!wide) {
-      e_.cvtt_f2i(true, true, RAX, 0);  // u32 fits the signed 64-bit convert
-    } else if (!uns) {
-      e_.cvtt_f2i(true, true, RAX, 0);
+      e_.cvtt_f2i(true, false, r, 0);  // r32 (zero-extends)
+    } else if (!wide || !uns) {
+      e_.cvtt_f2i(true, true, r, 0);  // u32 fits the signed 64-bit convert
     } else {
       // u64: values >= 2^63 convert shifted by 2^63 (subtraction is exact:
       // v >= 2^52 is an integer) and the top bit is added back as an int.
@@ -699,347 +1187,19 @@ class FnCompiler {
       e_.ucomis_rr(true, 0, 1);
       const std::size_t small = e_.jcc(CC_B);
       e_.sse_arith_rr(true, 0x5C, 0, 1);  // v -= 2^63
-      e_.cvtt_f2i(true, true, RAX, 0);
-      e_.mov_ri64(RCX, 0x8000000000000000ull);
-      e_.add_rr(RAX, RCX, true);
+      e_.cvtt_f2i(true, true, r, 0);
+      e_.mov_ri64(RAX, 0x8000000000000000ull);
+      e_.add_rr(r, RAX, true);
       const std::size_t done = e_.jmp();
       e_.patch_rel32(small, e_.size());
-      e_.cvtt_f2i(true, true, RAX, 0);
+      e_.cvtt_f2i(true, true, r, 0);
       e_.patch_rel32(done, e_.size());
     }
-    store_result(h - 1, RAX);
-  }
-
-  /// div/rem with the wasm trap/edge semantics (divide-by-zero trap,
-  /// INT_MIN/-1 overflow trap for div_s, INT_MIN%-1 == 0 for rem_s).
-  void emit_div(int h, bool wide, bool is_signed, bool is_rem) {
-    load_slot(RAX, h - 2, wide);
-    load_slot(RCX, h - 1, wide);
-    consume(h - 1);
-    e_.test_rr(RCX, RCX, wide);
-    trap_sites_[kTrapDivZero].push_back(e_.jcc(CC_E));
-    Reg result = RAX;
-    if (is_signed) {
-      if (is_rem) {
-        // divisor == -1 => remainder 0 (also sidesteps the INT_MIN idiv #DE)
-        e_.cmp_ri(RCX, -1, wide);
-        const std::size_t zero_site = e_.jcc(CC_E);
-        if (wide)
-          e_.cqo();
-        else
-          e_.cdq();
-        e_.idiv(RCX, wide);
-        const std::size_t done_site = e_.jmp();
-        e_.patch_rel32(zero_site, e_.size());
-        e_.xor_rr(RDX, RDX, false);
-        e_.patch_rel32(done_site, e_.size());
-        result = RDX;
-      } else {
-        if (wide) {
-          e_.mov_ri64(RDX, 0x8000000000000000ull);
-          e_.cmp_rr(RAX, RDX, true);
-        } else {
-          e_.cmp_ri(RAX, std::numeric_limits<std::int32_t>::min(), false);
-        }
-        const std::size_t ok_site = e_.jcc(CC_NE);
-        e_.cmp_ri(RCX, -1, wide);
-        trap_sites_[kTrapOverflow].push_back(e_.jcc(CC_E));
-        e_.patch_rel32(ok_site, e_.size());
-        if (wide)
-          e_.cqo();
-        else
-          e_.cdq();
-        e_.idiv(RCX, wide);
-      }
-    } else {
-      e_.xor_rr(RDX, RDX, false);
-      e_.div(RCX, wide);
-      if (is_rem) result = RDX;
-    }
-    store_result(h - 2, result);
-  }
-
-  void emit_fallback(const Instr& ins, int h) {
-    flush_all();
-    spill_sp(h);
-    e_.mov_rr(RDI, R15);
-    e_.mov_ri32(RSI, ins.op);
-    call_helper(&jit_helper_fallback);
-    reload_pinned();
-    trap_check();
-  }
-
-  // -- emission ---------------------------------------------------------------
-
-  void emit_prologue() {
-    e_.push_r(RBP);
-    e_.push_r(RBX);
-    e_.push_r(R12);
-    e_.push_r(R13);
-    e_.push_r(R14);
-    e_.push_r(R15);
-    e_.sub_rsp8();  // keeps rsp 16-byte aligned at helper call sites
-    e_.mov_rr(R15, RDI);
-    reload_pinned();
-    if (reg_mode_) {
-      // Whole wasm frame into registers: params carry their arguments,
-      // non-param locals were zeroed by the entry thunk.
-      for (std::uint32_t i = 0; i < num_locals_; ++i)
-        e_.load64(slot_reg(static_cast<int>(i)), RBP, local_disp(i));
-    }
-  }
-
-  bool emit_body() {
-    const auto& code = func_.code;
-    const std::size_t n = code.size();
-    offsets_.assign(n, 0);
-    for (std::size_t pc = 0; pc < n; ++pc) {
-      // A merge point's frame must match the static layout on every
-      // incoming edge: materialise pending aliases BEFORE recording the
-      // branch-target offset (jumpers flushed at their branch site).
-      if (is_target_[pc] && !dead_[pc]) flush_all();
-      offsets_[pc] = e_.size();
-      if (dead_[pc]) continue;  // unreachable: prescan proved nothing lands here
-      const Instr& ins = code[pc];
-      const int h = height_[pc];
-
-      // Fuse comparison + conditional branch into cmp+jcc when nothing can
-      // jump between them and the taken edge needs no stack adjustment.
-      if (const auto ci = cmp_info(ins.op); ci && pc + 1 < n && !is_target_[pc + 1]) {
-        const Instr& br = code[pc + 1];
-        const bool brif = br.op == kBrIf && br.imm == 0;
-        const bool brif_false = br.op == kInstrBrIfFalse;
-        if (brif || brif_false) {
-          // The compare's operands are popped on both edges; only aliases
-          // below them must hit their slots before the jump.
-          flush_below(ci->eqz ? h - 1 : h - 2);
-          if (ci->eqz) {
-            load_slot(RAX, h - 1, ci->wide);
-            e_.test_rr(RAX, RAX, ci->wide);
-            fixups_.push_back({e_.jcc(brif ? CC_E : CC_NE), br.a});
-          } else {
-            load_slot(RAX, h - 2, ci->wide);
-            if (reg_mode_) {
-              load_slot(RCX, h - 1, ci->wide);
-              e_.cmp_rr(RAX, RCX, ci->wide);
-            } else {
-              e_.alu_rm(0x3B, RAX, RBP, operand_disp(h - 1), ci->wide);
-            }
-            const Cond cc = brif ? ci->cc : static_cast<Cond>(ci->cc ^ 1);
-            fixups_.push_back({e_.jcc(cc), br.a});
-          }
-          ++pc;
-          offsets_[pc] = e_.size();
-          continue;
-        }
-      }
-
-      if (needs_flush(ins.op)) flush_all();
-
-      // Arm the local.set sink: when the NEXT op is an unjumped-to
-      // local.set, ops routing their result through store_result() write
-      // the destination local directly and the local.set is elided.
-      sink_disp_ = -1;
-      sink_used_ = false;
-      if (!reg_mode_ && pc + 1 < n && !is_target_[pc + 1] &&
-          code[pc + 1].op == kLocalSet) {
-        flush_aliased(code[pc + 1].a);
-        sink_disp_ = static_cast<std::int32_t>(code[pc + 1].a * 8);
-      }
-
-      switch (ins.op) {
-        case kNop:
-          break;
-        case kUnreachable:
-          emit_trap_jump(kTrapUnreachable);
-          break;
-
-        case kBr: {
-          if (ins.aux == 1 && ins.imm > 0) {
-            load_slot(RAX, h - 1);
-            store_slot(h - 1 - static_cast<int>(ins.imm), RAX);
-          }
-          fixups_.push_back({e_.jmp(), ins.a});
-          break;
-        }
-        case kBrIf: {
-          load_slot(RAX, h - 1);
-          e_.test_rr(RAX, RAX, true);
-          if (ins.aux == 1 && ins.imm > 0) {
-            const std::size_t skip = e_.jcc(CC_E);
-            load_slot(RAX, h - 2);
-            store_slot(h - 2 - static_cast<int>(ins.imm), RAX);
-            fixups_.push_back({e_.jmp(), ins.a});
-            e_.patch_rel32(skip, e_.size());
-          } else {
-            fixups_.push_back({e_.jcc(CC_NE), ins.a});
-          }
-          break;
-        }
-        case kInstrBrIfFalse: {
-          load_slot(RAX, h - 1);
-          e_.test_rr(RAX, RAX, true);
-          fixups_.push_back({e_.jcc(CC_E), ins.a});
-          break;
-        }
-        case kBrTable: {
-          spill_sp(h);
-          e_.mov_rr(RDI, R15);
-          e_.mov_ri64(RSI, reinterpret_cast<std::uint64_t>(&func_.tables[ins.a]));
-          e_.mov_ri32(RDX, static_cast<std::uint32_t>(ins.imm));
-          call_helper(&jit_helper_br_table);
-          // rax = target pc. The helper only memmoves within the stack, so
-          // the pinned registers stay valid — dispatch straight through the
-          // appended pc->offset table (position-independent via rip).
-          const std::size_t table_at = e_.lea_rip(RCX);
-          e_.load32_scaled4(RDX, RCX, RAX);
-          const std::size_t base_at = e_.lea_rip(RCX);
-          e_.add_rr(RCX, RDX, true);
-          e_.jmp_r(RCX);
-          table_sites_.push_back({table_at, base_at});
-          break;
-        }
-        case kReturn: {
-          if (ins.aux == 1) {
-            load_slot(RAX, h - 1);
-            e_.store64(RBP, 0, RAX);  // result to stack[base]
-          }
-          e_.load64(RAX, R15, 16);
-          if (ins.aux != 0)
-            e_.lea_disp(RAX, RAX, static_cast<std::int32_t>(ins.aux));
-          e_.store64(R15, 8, RAX);  // ctx->sp = base + keep
-          exit_sites_.push_back(e_.jmp());
-          break;
-        }
-
-        case kCall: {
-          spill_sp(h);
-          e_.mov_rr(RDI, R15);
-          e_.mov_ri32(RSI, ins.a);
-          call_helper(&jit_helper_call);
-          reload_pinned();
-          trap_check();
-          break;
-        }
-        case kCallIndirect: {
-          spill_sp(h);
-          e_.mov_rr(RDI, R15);
-          e_.mov_ri32(RSI, ins.a);
-          call_helper(&jit_helper_call_indirect);
-          reload_pinned();
-          trap_check();
-          break;
-        }
-
-        case kDrop:
-          break;
-        case kSelect: {
-          load_slot(RAX, h - 1);  // condition
-          load_slot(RCX, h - 2);  // v2
-          load_slot(RDX, h - 3);  // v1
-          e_.test_rr(RAX, RAX, true);
-          e_.cmovcc(CC_E, RDX, RCX, true);
-          store_slot(h - 3, RDX);
-          break;
-        }
-
-        case kLocalGet:
-          if (reg_mode_)
-            e_.mov_rr(operand_reg(h), slot_reg(static_cast<int>(ins.a)));
-          else
-            pending_[static_cast<std::size_t>(h)] =
-                static_cast<std::int32_t>(ins.a);  // deferred: readers fuse it
-          break;
-        case kLocalSet:
-          if (reg_mode_) {
-            e_.mov_rr(slot_reg(static_cast<int>(ins.a)), operand_reg(h - 1));
-          } else {
-            flush_aliased(ins.a);  // older aliases read the value being replaced
-            load_slot(RAX, h - 1);
-            consume(h - 1);
-            e_.store64(RBP, local_disp(ins.a), RAX);
-          }
-          break;
-        case kLocalTee:
-          if (reg_mode_) {
-            e_.mov_rr(slot_reg(static_cast<int>(ins.a)), operand_reg(h - 1));
-          } else {
-            flush_aliased(ins.a);
-            load_slot(RAX, h - 1);
-            e_.store64(RBP, local_disp(ins.a), RAX);
-          }
-          break;
-        case kGlobalGet:
-          e_.load64(RAX, R15, 48);
-          e_.load64(RAX, RAX, static_cast<std::int32_t>(ins.a * 16 + 8));
-          store_result(h, RAX);
-          break;
-        case kGlobalSet:
-          e_.load64(RCX, R15, 48);
-          load_slot(RAX, h - 1);
-          consume(h - 1);
-          e_.store64(RCX, static_cast<std::int32_t>(ins.a * 16 + 8), RAX);
-          break;
-
-        case kMemorySize:
-          e_.mov_rr(RAX, R14);
-          e_.mov_ri32(RCX, 16);  // bytes -> 64 KiB pages
-          e_.shift_cl(5, RAX, true);
-          store_result(h, RAX);
-          break;
-        case kMemoryGrow:
-          spill_sp(h);
-          e_.mov_rr(RDI, R15);
-          call_helper(&jit_helper_memory_grow);
-          reload_pinned();  // memory may have moved; grow itself never traps
-          break;
-
-        case kI32Const:
-        case kI64Const:
-        case kF32Const:
-        case kF64Const:
-          if (ins.imm <= 0xffffffffull)
-            e_.mov_ri32(RAX, static_cast<std::uint32_t>(ins.imm));
-          else
-            e_.mov_ri64(RAX, ins.imm);
-          store_result(h, RAX);
-          break;
-
-        case kInstrMemCopy:
-          spill_sp(h);
-          e_.mov_rr(RDI, R15);
-          call_helper(&jit_helper_mem_copy);
-          reload_pinned();
-          trap_check();
-          break;
-        case kInstrMemFill:
-          spill_sp(h);
-          e_.mov_rr(RDI, R15);
-          call_helper(&jit_helper_mem_fill);
-          reload_pinned();
-          trap_check();
-          break;
-
-        default:
-          if (!emit_default(ins, h)) {
-            refused_op_ = ins.op;
-            return false;
-          }
-          break;
-      }
-
-      if (sink_used_) {
-        ++pc;  // the local.set was folded into the producing op's store
-        offsets_[pc] = e_.size();
-      }
-      sink_disp_ = -1;
-      sink_used_ = false;
-    }
-    return true;
+    push_gpr(r);
   }
 
   /// Loads, stores, numeric ops, conversions — everything table-shaped.
-  bool emit_default(const Instr& ins, int h) {
+  bool emit_numeric(const Instr& ins, int h) {
     const std::uint16_t op = ins.op;
 
     if (op >= kI32Load && op <= kI64Load32U) {
@@ -1050,7 +1210,7 @@ class FnCompiler {
       static constexpr Shape kLoads[14] = {
           {2, false, false},  // i32.load
           {3, false, true},   // i64.load
-          {2, false, false},  // f32.load (raw bits)
+          {2, false, false},  // f32.load
           {3, false, true},   // f64.load
           {0, true, false},   // i32.load8_s
           {0, false, false},  // i32.load8_u
@@ -1064,9 +1224,18 @@ class FnCompiler {
           {2, false, false},  // i64.load32_u
       };
       const Shape s = kLoads[op - kI32Load];
-      emit_addr(h - 1, ins.imm, 1u << s.width_log2);
-      e_.load_mem_extend(RAX, R13, RAX, s.width_log2, s.sign, s.wide);
-      store_result(h - 1, RAX);
+      const bool to_xmm_reg = op == kF32Load || op == kF64Load;
+      const Reg ra = to_gpr(pop(), false);
+      const std::uint8_t x = to_xmm_reg ? alloc_xmm() : 0;
+      const auto [index, disp] = emit_addr(ra, ins.imm, 1u << s.width_log2);
+      if (to_xmm_reg) {  // floats load straight into an XMM register
+        e_.sse_rmi(op == kF64Load ? 0xF2 : 0xF3, 0x10, x, R13, index, disp);
+        gpr_[ra] = kFree;
+        push_xmm(x, op == kF64Load);
+      } else {
+        e_.load_mem_extend(ra, R13, index, disp, s.width_log2, s.sign, s.wide);
+        push_gpr(ra);
+      }
       return true;
     }
 
@@ -1083,19 +1252,65 @@ class FnCompiler {
           2,  // i64.store32
       };
       const std::uint8_t w = kStoreWidthLog2[op - kI32Store];
-      emit_addr(h - 2, ins.imm, 1u << w);
-      load_slot(RCX, h - 1);
-      e_.store_mem(R13, RAX, w, RCX);
+      const Val v = pop();
+      const Val a = pop();
+      const bool from_xmm = v.loc == Loc::Xmm && (op == kF32Store || (op == kF64Store && !v.f32));
+      const Reg rv = from_xmm ? RAX : to_gpr(v, w == 3);
+      const Reg ra = to_gpr(a, false);
+      const auto [index, disp] = emit_addr(ra, ins.imm, 1u << w);
+      if (from_xmm)
+        e_.sse_rmi(op == kF64Store ? 0xF2 : 0xF3, 0x11, v.reg, R13, index, disp);
+      else
+        e_.store_mem(R13, index, disp, w, rv);
+      release(v);
+      if (!from_xmm) gpr_[rv] = kFree;
+      gpr_[ra] = kFree;
       return true;
     }
 
-    if (const auto ci = cmp_info(op)) {
-      emit_compare_bool(*ci, h);
+    if (const auto cc = int_cmp_cond(op)) {
+      const bool wide = op == kI64Eqz || op >= kI64Eq;
+      if (op == kI32Eqz || op == kI64Eqz) {
+        const Val a = pop();
+        if (a.loc == Loc::Flags) {  // eqz of a live compare: invert it
+          push_flags(negate(a.fl));
+          return true;
+        }
+        if (a.loc == Loc::Mem) {
+          e_.alu_mi(7, RBP, static_cast<std::int32_t>(a.idx * 8), 0, wide);
+        } else {
+          const Reg r = to_gpr(a, wide);
+          e_.test_rr(r, r, wide);
+          gpr_[r] = kFree;
+        }
+        push_flags({CC_E, 0});
+        return true;
+      }
+      const Val b = pop();
+      const Val a = pop();
+      if (a.loc == Loc::Flags) {  // wcc's `cmp; i32.const 0; i32.ne` shape
+        push_flags(op == kI32Ne ? a.fl : negate(a.fl));
+        return true;
+      }
+      const Opnd ob = operand(b, wide);
+      if (a.loc == Loc::Mem && ob.k != Opnd::M) {
+        const std::int32_t disp = static_cast<std::int32_t>(a.idx * 8);
+        if (ob.k == Opnd::I)
+          e_.alu_mi(7, RBP, disp, ob.v, wide);
+        else
+          e_.alu_mr(0x39, RBP, disp, ob.r, wide);
+      } else {
+        const Reg ra = to_gpr(a, wide);
+        alu(7, ra, ob, wide);
+        gpr_[ra] = kFree;
+      }
+      release(ob);
+      push_flags({*cc, 0});
       return true;
     }
 
     if (op >= kF32Eq && op <= kF64Ge) {
-      emit_fcompare(op, h);
+      emit_fcompare(op);
       return true;
     }
 
@@ -1106,58 +1321,53 @@ class FnCompiler {
       // rel: 0 add, 1 sub, 2 mul, 3 div_s, 4 div_u, 5 rem_s, 6 rem_u,
       //      7 and, 8 or, 9 xor, 10 shl, 11 shr_s, 12 shr_u, 13 rotl, 14 rotr
       const std::uint16_t rel = op - (wide ? kI64Add : kI32Add);
-      switch (rel) {
-        case 0:
-        case 1:
-        case 7:
-        case 8:
-        case 9: {
-          // RM opcode forms so the right operand (often a pending
-          // local.get) folds into the instruction's memory operand.
-          static constexpr std::uint8_t kAluMr[10] = {0x01, 0x29, 0, 0,    0,
-                                                      0,    0,    0x21, 0x09, 0x31};
-          static constexpr std::uint8_t kAluRm[10] = {0x03, 0x2B, 0, 0,    0,
-                                                      0,    0,    0x23, 0x0B, 0x33};
-          load_slot(RAX, h - 2, wide);
-          if (reg_mode_) {
-            e_.alu_rr(kAluMr[rel], RAX, operand_reg(h - 1), wide);
-          } else {
-            e_.alu_rm(kAluRm[rel], RAX, RBP, operand_disp(h - 1), wide);
-          }
-          store_result(h - 2, RAX);
-          return true;
-        }
-        case 2:  // mul
-          load_slot(RAX, h - 2, wide);
-          if (reg_mode_)
-            e_.imul_rr(RAX, operand_reg(h - 1), wide);
-          else
-            e_.imul_rm(RAX, RBP, operand_disp(h - 1), wide);
-          store_result(h - 2, RAX);
-          return true;
-        case 3:  // div_s
-          emit_div(h, wide, true, false);
-          return true;
-        case 4:  // div_u
-          emit_div(h, wide, false, false);
-          return true;
-        case 5:  // rem_s
-          emit_div(h, wide, true, true);
-          return true;
-        case 6:  // rem_u
-          emit_div(h, wide, false, true);
-          return true;
-        default: {
-          // shl / shr_s / shr_u / rotl / rotr — x86 masks the count exactly
-          // as wasm requires (&31 / &63).
-          static constexpr std::uint8_t kShiftExt[5] = {4, 7, 5, 0, 1};
-          load_slot(RAX, h - 2, wide);
-          load_slot(RCX, h - 1, false);
-          e_.shift_cl(kShiftExt[rel - 10], RAX, wide);
-          store_result(h - 2, RAX);
-          return true;
-        }
+      if (rel >= 3 && rel <= 6) {
+        emit_div(wide, rel == 3 || rel == 5, rel >= 5);
+        return true;
       }
+      Val b = pop();
+      Val a = pop();
+      if (rel >= 10) {
+        // shl / shr_s / shr_u / rotl / rotr — x86 masks the count exactly
+        // as wasm requires (&31 / &63).
+        static constexpr std::uint8_t kShiftExt[5] = {4, 7, 5, 0, 1};
+        const Reg ra = to_gpr(a, wide);
+        if (b.loc == Loc::Const) {
+          e_.shift_ri(kShiftExt[rel - 10], ra,
+                      static_cast<std::uint8_t>(b.imm & (wide ? 63 : 31)), wide);
+        } else {
+          const Opnd ob = operand(b, false);
+          if (ob.k == Opnd::M)
+            e_.load32(RCX, RBP, ob.v);
+          else
+            e_.mov_rr(RCX, ob.r, false);
+          release(ob);
+          e_.shift_cl(kShiftExt[rel - 10], ra, wide);
+        }
+        push_gpr(ra);
+        return true;
+      }
+      // Commutative ops reuse whichever operand is already in a register.
+      if (rel != 1 && a.loc != Loc::Gpr && b.loc == Loc::Gpr) std::swap(a, b);
+      const Reg ra = to_gpr(a, wide);
+      const Opnd ob = operand(b, wide);
+      if (rel == 2) {
+        const std::uint64_t m = static_cast<std::uint32_t>(ob.v);
+        if (ob.k == Opnd::I && ob.v > 0 && (m & (m - 1)) == 0)  // * 2^k = << k
+          e_.shift_ri(4, ra, static_cast<std::uint8_t>(std::countr_zero(m)), wide);
+        else if (ob.k == Opnd::R)
+          e_.imul_rr(ra, ob.r, wide);
+        else if (ob.k == Opnd::M)
+          e_.imul_rm(ra, RBP, ob.v, wide);
+        else
+          e_.imul_rri(ra, ra, ob.v, wide);
+      } else {
+        static constexpr std::uint8_t kExt[10] = {0, 5, 0, 0, 0, 0, 0, 4, 1, 6};
+        alu(kExt[rel], ra, ob, wide);
+      }
+      release(ob);
+      push_gpr(ra);
+      return true;
     }
 
     const bool f32_un = op >= kF32Abs && op <= kF32Sqrt;
@@ -1167,29 +1377,26 @@ class FnCompiler {
       // rel: 0 abs, 1 neg, 2 ceil, 3 floor, 4 trunc, 5 nearest, 6 sqrt
       const std::uint16_t rel = op - (f64 ? kF64Abs : kF32Abs);
       if (rel == 6) {
-        load_f(0, h - 1, f64);
-        e_.sse_arith_rr(f64, 0x51, 0, 0);  // sqrtsd/sqrtss
-        if (f64)
-          store_f64_result(h - 1, 0);
-        else
-          store_f32_result(h - 1, 0);
+        const Val a = pop();
+        const std::uint8_t x = to_xmm(a, f64);
+        e_.sse_arith_rr(f64, 0x51, x, x);  // sqrtsd/sqrtss
+        push_xmm(x, f64);
         return true;
       }
       if (rel <= 1) {
         // abs clears / neg flips the sign bit — the interpreter's exact
         // bit operation, NaN payloads untouched.
+        const Val a = pop();
+        const Reg r = to_gpr(a, f64);
         if (f64) {
-          load_slot(RAX, h - 1, true);
-          e_.mov_ri64(RCX, rel == 0 ? 0x7fffffffffffffffull : 0x8000000000000000ull);
-          e_.alu_rr(rel == 0 ? 0x21 : 0x31, RAX, RCX, true);
+          e_.mov_ri64(RAX, rel == 0 ? 0x7fffffffffffffffull : 0x8000000000000000ull);
+          e_.alu_rr(rel == 0 ? 0x21 : 0x31, r, RAX, true);
         } else {
-          load_slot(RAX, h - 1, false);
-          e_.alu_ri(rel == 0 ? 4 : 6, RAX,
-                    rel == 0 ? 0x7fffffff
-                             : std::numeric_limits<std::int32_t>::min(),
+          e_.alu_ri(rel == 0 ? 4 : 6, r,
+                    rel == 0 ? 0x7fffffff : std::numeric_limits<std::int32_t>::min(),
                     false);
         }
-        store_result(h - 1, RAX);
+        push_gpr(r);
         return true;
       }
       // ceil/floor/trunc/nearest: SSE4.1 roundsd territory — thunked below.
@@ -1201,130 +1408,118 @@ class FnCompiler {
       const bool f64 = f64_bin;
       // rel: 0 add, 1 sub, 2 mul, 3 div, 4 min, 5 max, 6 copysign
       const std::uint16_t rel = op - (f64 ? kF64Add : kF32Add);
-      if (rel <= 3) {
-        static constexpr std::uint8_t kOpc[4] = {0x58, 0x5C, 0x59, 0x5E};
-        load_f(0, h - 2, f64);
-        if (reg_mode_) {
-          load_f(1, h - 1, f64);
-          e_.sse_arith_rr(f64, kOpc[rel], 0, 1);
-        } else {
-          // Right operand straight from its frame (or aliased local) slot.
-          e_.sse_arith_rm(f64, kOpc[rel], 0, RBP, operand_disp(h - 1));
-        }
-        if (f64)
-          store_f64_result(h - 2, 0);
-        else
-          store_f32_result(h - 2, 0);
+      if (rel == 4 || rel == 5) {
+        emit_fminmax(f64, rel == 4);
         return true;
       }
-      if (rel <= 5) {
-        emit_fminmax(h, f64, rel == 4);
+      const Val b = pop();
+      const Val a = pop();
+      if (rel <= 3) {
+        // Operand order is the interpreter's (a OP b): with two NaNs the
+        // result carries a's payload on both.
+        static constexpr std::uint8_t kOpc[4] = {0x58, 0x5C, 0x59, 0x5E};
+        const std::uint8_t x = to_xmm(a, f64);
+        if (b.loc == Loc::Mem) {
+          e_.sse_arith_rm(f64, kOpc[rel], x, RBP, static_cast<std::int32_t>(b.idx * 8));
+        } else {
+          const std::uint8_t xb = to_xmm(b, f64);
+          e_.sse_arith_rr(f64, kOpc[rel], x, xb);
+          xmm_[xb] = kFree;
+        }
+        push_xmm(x, f64);
         return true;
       }
       // copysign: (a & ~signbit) | (b & signbit) in GPRs.
+      const Reg ra = to_gpr(a, f64);
+      const Reg rb = to_gpr(b, f64);
       if (f64) {
-        load_slot(RAX, h - 2, true);
         e_.mov_ri64(RDX, 0x7fffffffffffffffull);
-        e_.and_rr(RAX, RDX, true);
-        load_slot(RCX, h - 1, true);
+        e_.and_rr(ra, RDX, true);
         e_.mov_ri64(RDX, 0x8000000000000000ull);
-        e_.and_rr(RCX, RDX, true);
-        e_.or_rr(RAX, RCX, true);
+        e_.and_rr(rb, RDX, true);
+        e_.or_rr(ra, rb, true);
       } else {
-        load_slot(RAX, h - 2, false);
-        e_.alu_ri(4, RAX, 0x7fffffff, false);
-        load_slot(RCX, h - 1, false);
-        e_.alu_ri(4, RCX, std::numeric_limits<std::int32_t>::min(), false);
-        e_.or_rr(RAX, RCX, false);
+        e_.alu_ri(4, ra, 0x7fffffff, false);
+        e_.alu_ri(4, rb, std::numeric_limits<std::int32_t>::min(), false);
+        e_.or_rr(ra, rb, false);
       }
-      store_result(h - 2, RAX);
+      gpr_[rb] = kFree;
+      push_gpr(ra);
       return true;
     }
 
     switch (op) {
-      case kI32WrapI64:
+      // Identities on the canonical 64-bit slot bits (i32/f32 values keep
+      // zero upper halves everywhere they live).
       case kI64ExtendI32U:
       case kI32ReinterpretF32:
       case kF32ReinterpretI32:
-        load_slot(RAX, h - 1, false);  // low 32 bits, zero-extended
-        store_result(h - 1, RAX);
-        return true;
       case kI64ReinterpretF64:
       case kF64ReinterpretI64:
-        return true;  // identity on the 64-bit slot
+        return true;
+      case kI32WrapI64: {
+        const Val a = pop();
+        const Reg r = to_gpr(a, false);  // a 32-bit load already truncates
+        if (a.loc != Loc::Mem) e_.mov_rr(r, r, false);
+        push_gpr(r);
+        return true;
+      }
       case kI64ExtendI32S:
       case kI64Extend32S:
-        load_slot(RAX, h - 1, false);
-        e_.movsx_rr(RAX, RAX, 2, true);
-        store_result(h - 1, RAX);
-        return true;
       case kI32Extend8S:
-        load_slot(RAX, h - 1, false);
-        e_.movsx_rr(RAX, RAX, 0, false);
-        store_result(h - 1, RAX);
-        return true;
       case kI32Extend16S:
-        load_slot(RAX, h - 1, false);
-        e_.movsx_rr(RAX, RAX, 1, false);
-        store_result(h - 1, RAX);
-        return true;
       case kI64Extend8S:
-        load_slot(RAX, h - 1);
-        e_.movsx_rr(RAX, RAX, 0, true);
-        store_result(h - 1, RAX);
+      case kI64Extend16S: {
+        const bool wide = op == kI64ExtendI32S || op == kI64Extend32S ||
+                          op == kI64Extend8S || op == kI64Extend16S;
+        const std::uint8_t from_log2 =
+            (op == kI32Extend8S || op == kI64Extend8S)     ? 0
+            : (op == kI32Extend16S || op == kI64Extend16S) ? 1
+                                                           : 2;
+        const Val a = pop();
+        const Reg r = to_gpr(a, wide && from_log2 != 2);
+        e_.movsx_rr(r, r, from_log2, wide);
+        push_gpr(r);
         return true;
-      case kI64Extend16S:
-        load_slot(RAX, h - 1);
-        e_.movsx_rr(RAX, RAX, 1, true);
-        store_result(h - 1, RAX);
-        return true;
+      }
 
       case kF64ConvertI32S:
-        load_slot(RAX, h - 1, false);
-        e_.cvt_i2f(true, false, 0, RAX);
-        store_f64_result(h - 1, 0);
-        return true;
       case kF64ConvertI32U:
-        load_slot(RAX, h - 1, false);  // zero-extended: 64-bit convert is exact
-        e_.cvt_i2f(true, true, 0, RAX);
-        store_f64_result(h - 1, 0);
-        return true;
       case kF64ConvertI64S:
-        load_slot(RAX, h - 1, true);
-        e_.cvt_i2f(true, true, 0, RAX);
-        store_f64_result(h - 1, 0);
-        return true;
       case kF32ConvertI32S:
-        load_slot(RAX, h - 1, false);
-        e_.cvt_i2f(false, false, 0, RAX);
-        store_f32_result(h - 1, 0);
-        return true;
       case kF32ConvertI32U:
-        load_slot(RAX, h - 1, false);
-        e_.cvt_i2f(false, true, 0, RAX);
-        store_f32_result(h - 1, 0);
+      case kF32ConvertI64S: {
+        const bool f64 = op == kF64ConvertI32S || op == kF64ConvertI32U ||
+                         op == kF64ConvertI64S;
+        const bool src64 = op == kF64ConvertI64S || op == kF32ConvertI64S;
+        // i32 unsigned: the zero-extended value converts exactly as i64.
+        const bool wide_cvt = op != kF64ConvertI32S && op != kF32ConvertI32S;
+        const Val a = pop();
+        const Reg r = to_gpr(a, src64);
+        const std::uint8_t x = alloc_xmm();
+        e_.cvt_i2f(f64, wide_cvt, x, r);
+        gpr_[r] = kFree;
+        push_xmm(x, f64);
         return true;
-      case kF32ConvertI64S:
-        load_slot(RAX, h - 1, true);
-        e_.cvt_i2f(false, true, 0, RAX);
-        store_f32_result(h - 1, 0);
-        return true;
+      }
       case kF64ConvertI64U:
-        emit_convert_u64(h, true);
+        emit_convert_u64(true);
         return true;
       case kF32ConvertI64U:
-        emit_convert_u64(h, false);
+        emit_convert_u64(false);
         return true;
       case kF64PromoteF32:
-        load_f(0, h - 1, false);
-        e_.cvtss2sd(0, 0);
-        store_f64_result(h - 1, 0);
+      case kF32DemoteF64: {
+        const bool to_f64 = op == kF64PromoteF32;
+        const Val a = pop();
+        const std::uint8_t x = to_xmm(a, !to_f64);
+        if (to_f64)
+          e_.cvtss2sd(x, x);
+        else
+          e_.cvtsd2ss(x, x);
+        push_xmm(x, to_f64);
         return true;
-      case kF32DemoteF64:
-        load_f(0, h - 1, true);
-        e_.cvtsd2ss(0, 0);
-        store_f32_result(h - 1, 0);
-        return true;
+      }
 
       case kI32TruncF32S:
       case kI32TruncF32U:
@@ -1334,7 +1529,7 @@ class FnCompiler {
       case kI64TruncF32U:
       case kI64TruncF64S:
       case kI64TruncF64U:
-        emit_trunc(op, h);
+        emit_trunc(op);
         return true;
 
       default:
@@ -1345,8 +1540,8 @@ class FnCompiler {
     // clz/ctz/popcnt, saturating truncation — runs through the per-opcode
     // fallback thunk. The prescan already priced its stack effect, so
     // tier-up is never blocked.
-    if (op_delta(module_, ins).has_value()) {
-      emit_fallback(ins, h);
+    if (const auto delta = op_delta(module_, ins)) {
+      helper_op(&jit_helper_fallback, h, op, *delta);
       return true;
     }
     return false;
@@ -1365,10 +1560,10 @@ class FnCompiler {
     e_.ret();
 
     // Trap stubs: set the code, exit. One stub per trap kind in use.
-    for (int code = kTrapOob; code <= kTrapTruncOverflow; ++code) {
+    for (int code = kTrapOob; code <= kTrapCallDepth; ++code) {
       if (trap_sites_[code].empty()) continue;
       const std::size_t stub = e_.size();
-      e_.store_imm32(R15, 72, code);
+      e_.store_imm32(R15, kCtxTrapCode, code);
       e_.patch_rel32(e_.jmp(), epilogue);
       for (const std::size_t at : trap_sites_[code]) e_.patch_rel32(at, stub);
     }
@@ -1401,19 +1596,20 @@ class FnCompiler {
   std::vector<std::uint8_t> dead_;  // unreachable pcs: emitted as nothing
   std::vector<std::size_t> offsets_;  // emitted offset of each pc
 
-  bool reg_mode_ = false;                // whole frame lives in registers
-  std::vector<std::int32_t> pending_;    // deferred local.get per height
-  std::int32_t sink_disp_ = -1;          // armed local.set destination
-  bool sink_used_ = false;
-  std::uint16_t refused_op_ = 0xffff;    // opcode behind a refusal
+  std::vector<Val> vs_;             // the abstract value stack
+  int sp_ = 0;                      // its height
+  int flags_h_ = -1;                // height of the live Flags entry
+  std::array<int, 16> gpr_{};       // register -> owner height / kFree / kHeld
+  std::array<int, 16> xmm_{};
+  std::uint16_t refused_op_ = 0xffff;  // opcode behind a refusal
 
   struct Fixup {
     std::size_t at;
     std::uint32_t target_pc;
   };
   std::vector<Fixup> fixups_;
-  std::vector<std::size_t> exit_sites_;           // -> epilogue
-  std::array<std::vector<std::size_t>, 7> trap_sites_;  // [trap code]
+  std::vector<std::size_t> exit_sites_;                 // -> epilogue
+  std::array<std::vector<std::size_t>, 8> trap_sites_;  // [trap code]
   struct TableSite {
     std::size_t table_at;
     std::size_t base_at;

@@ -81,6 +81,13 @@ class Emitter {
     if (r || w) u8(0x40 | r);
   }
 
+  /// REX for an instruction whose `reg` operand is a byte register: spl,
+  /// bpl, sil and dil (4..7) are only addressable with a REX prefix.
+  void rex8(std::uint8_t reg, std::uint8_t index, std::uint8_t base) {
+    const std::uint8_t r = ((reg & 8) >> 1) | ((index & 8) >> 2) | ((base & 8) >> 3);
+    if (r || (reg >= 4 && reg < 8)) u8(0x40 | r);
+  }
+
   void modrm(std::uint8_t mod, std::uint8_t reg, std::uint8_t rm) {
     u8(static_cast<std::uint8_t>((mod << 6) | ((reg & 7) << 3) | (rm & 7)));
   }
@@ -124,6 +131,22 @@ class Emitter {
     u8(static_cast<std::uint8_t>(0xB8 | (r & 7)));
     u32(imm);
   }
+  /// Shortest mov of a 64-bit constant: zero-extending imm32, sign-extending
+  /// imm32, else movabs. Never `xor` (constants materialise between a
+  /// compare and the jcc/cmov consuming its flags).
+  void mov_imm(Reg r, std::uint64_t imm) {
+    if (imm <= 0xffffffffull) {
+      mov_ri32(r, static_cast<std::uint32_t>(imm));
+    } else if (static_cast<std::int64_t>(imm) ==
+               static_cast<std::int32_t>(static_cast<std::uint32_t>(imm))) {
+      rex(true, 0, 0, r);  // mov r/m64, imm32 (sign-extended)
+      u8(0xC7);
+      modrm(3, 0, r);
+      u32(static_cast<std::uint32_t>(imm));
+    } else {
+      mov_ri64(r, imm);
+    }
+  }
   void mov_rr(Reg dst, Reg src, bool wide = true) {  // mov r64/r32, r64/r32
     rex(wide, src, 0, dst);
     u8(0x89);
@@ -147,10 +170,10 @@ class Emitter {
     u8(0x89);
     mem(src, base, 0xff, 0, disp);
   }
-  /// Sized load from [base + index] with sign/zero extension.
+  /// Sized load from [base + index + disp] with sign/zero extension.
   /// width_log2: 0/1/2/3 bytes; sign extends to 32 (`wide`=false) or 64.
-  void load_mem_extend(Reg dst, Reg base, Reg index, std::uint8_t width_log2,
-                       bool sign, bool wide) {
+  void load_mem_extend(Reg dst, Reg base, Reg index, std::int32_t disp,
+                       std::uint8_t width_log2, bool sign, bool wide) {
     switch (width_log2) {
       case 0:
         rex(sign ? wide : false, dst, index, base);
@@ -176,14 +199,14 @@ class Emitter {
         u8(0x8B);
         break;
     }
-    mem(dst, base, index, 0, 0);
+    mem(dst, base, index, 0, disp);
   }
-  /// Sized store of the low bytes of `src` to [base + index].
-  void store_mem(Reg base, Reg index, std::uint8_t width_log2, Reg src) {
+  /// Sized store of the low bytes of `src` to [base + index + disp].
+  void store_mem(Reg base, Reg index, std::int32_t disp, std::uint8_t width_log2,
+                 Reg src) {
     switch (width_log2) {
       case 0:
-        // SPL/BPL/SIL/DIL would need a REX; we only ever store from rcx (CL).
-        rex(false, src, index, base);
+        rex8(src, index, base);
         u8(0x88);
         break;
       case 1:
@@ -200,7 +223,7 @@ class Emitter {
         u8(0x89);
         break;
     }
-    mem(src, base, index, 0, 0);
+    mem(src, base, index, 0, disp);
   }
   /// mov r32, [base + index*4] (zero-extends) — br_table offset fetch.
   void load32_scaled4(Reg dst, Reg base, Reg index) {
@@ -250,6 +273,18 @@ class Emitter {
     u8(0xAF);
     modrm(3, dst, src);
   }
+  void imul_rri(Reg dst, Reg src, std::int32_t imm, bool wide) {  // imul r, r/m, imm
+    rex(wide, dst, 0, src);
+    if (imm >= -128 && imm <= 127) {
+      u8(0x6B);
+      modrm(3, dst, src);
+      u8(static_cast<std::uint8_t>(imm));
+    } else {
+      u8(0x69);
+      modrm(3, dst, src);
+      u32(static_cast<std::uint32_t>(imm));
+    }
+  }
   /// Shift/rotate by CL: ext — rol 0, ror 1, shl 4, shr 5, sar 7.
   void shift_cl(std::uint8_t ext, Reg r, bool wide) {
     rex(wide, 0, 0, r);
@@ -292,13 +327,15 @@ class Emitter {
     }
     modrm(3, dst, src);
   }
-  void setcc(Cond cc, Reg r) {  // setcc r8 (use rax..rdx only: no REX handling)
+  void setcc(Cond cc, Reg r) {  // setcc r8 (the byte register is in r/m)
+    if (r >= 4) u8(static_cast<std::uint8_t>(0x40 | ((r & 8) >> 3)));
     u8(0x0F);
     u8(static_cast<std::uint8_t>(0x90 | cc));
     modrm(3, 0, r);
   }
   void movzx8_rr(Reg dst, Reg src) {  // movzx r32, r8
-    rex(false, dst, 0, src);
+    const std::uint8_t r = ((dst & 8) >> 1) | ((src & 8) >> 3);
+    if (r || (src >= 4 && src < 8)) u8(0x40 | r);
     u8(0x0F);
     u8(0xB6);
     modrm(3, dst, src);
@@ -308,6 +345,13 @@ class Emitter {
     u8(0x0F);
     u8(static_cast<std::uint8_t>(0x40 | cc));
     modrm(3, dst, src);
+  }
+  /// cmovcc r, [base + disp]
+  void cmovcc_rm(Cond cc, Reg dst, Reg base, std::int32_t disp, bool wide = true) {
+    rex(wide, dst, 0, base);
+    u8(0x0F);
+    u8(static_cast<std::uint8_t>(0x40 | cc));
+    mem(dst, base, 0xff, 0, disp);
   }
   /// lea dst, [base + index*8]
   void lea_scaled8(Reg dst, Reg base, Reg index) {
@@ -344,6 +388,37 @@ class Emitter {
     u8(0xC7);
     mem(0, base, 0xff, 0, disp);
     u32(static_cast<std::uint32_t>(imm));
+  }
+  /// mov dword [base + disp], imm32
+  void store_dword_imm(Reg base, std::int32_t disp, std::uint32_t imm) {
+    rex(false, 0, 0, base);
+    u8(0xC7);
+    mem(0, base, 0xff, 0, disp);
+    u32(imm);
+  }
+  /// ALU [base + disp], imm (81 /ext id or 83 /ext ib): add 0, sub 5, cmp 7.
+  void alu_mi(std::uint8_t ext, Reg base, std::int32_t disp, std::int32_t imm,
+              bool wide) {
+    rex(wide, 0, 0, base);
+    const bool imm8 = imm >= -128 && imm <= 127;
+    u8(imm8 ? 0x83 : 0x81);
+    mem(ext, base, 0xff, 0, disp);
+    if (imm8)
+      u8(static_cast<std::uint8_t>(imm));
+    else
+      u32(static_cast<std::uint32_t>(imm));
+  }
+  /// ALU [base + disp], src (MR form; `op` as for alu_rr, e.g. cmp 39).
+  void alu_mr(std::uint8_t op, Reg base, std::int32_t disp, Reg src, bool wide) {
+    rex(wide, src, 0, base);
+    u8(op);
+    mem(src, base, 0xff, 0, disp);
+  }
+  /// rep stosq: fills rcx qwords at [rdi] with rax.
+  void rep_stosq() {
+    u8(0xF3);
+    u8(0x48);
+    u8(0xAB);
   }
 
   /// Two-register ALU op, RM form (dst = dst OP [base + disp]). `op` is the
@@ -384,6 +459,16 @@ class Emitter {
     mem(x, base, 0xff, 0, disp);
   }
 
+  /// Generic xmm, [base + index + disp] form.
+  void sse_rmi(std::uint8_t prefix, std::uint8_t opc, std::uint8_t x, Reg base,
+               Reg index, std::int32_t disp) {
+    if (prefix) u8(prefix);
+    rex(false, x, index, base);
+    u8(0x0F);
+    u8(opc);
+    mem(x, base, index, 0, disp);
+  }
+
   /// movsd/movss xmm, [mem] (scalar load; zeroes the upper lanes).
   void movf_load(bool f64, std::uint8_t x, Reg base, std::int32_t disp) {
     sse_rm(f64 ? 0xF2 : 0xF3, 0x10, x, base, disp);
@@ -393,6 +478,7 @@ class Emitter {
     sse_rm(f64 ? 0xF2 : 0xF3, 0x11, x, base, disp);
   }
   void movaps_rr(std::uint8_t xdst, std::uint8_t xsrc) { sse_rr(0, 0x28, xdst, xsrc); }
+  void xorps_rr(std::uint8_t xdst, std::uint8_t xsrc) { sse_rr(0, 0x57, xdst, xsrc); }
   /// movq/movd xmm, r64/r32 (66 [REX.W] 0F 6E; zeroes the upper lanes).
   void mov_xr(std::uint8_t x, Reg r, bool wide) {
     u8(0x66);

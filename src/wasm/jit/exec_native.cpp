@@ -3,13 +3,14 @@
 // generated code calls for everything the baseline does not lower inline.
 //
 // Pointer-pinning contract: any helper that can move the operand-stack
-// storage (nested calls resize the vector) or linear memory (memory.grow)
-// refreshes stack_base / mem_base / mem_size in the context before
-// returning; generated code reloads its pinned registers from the context
-// after every helper call. Traps never unwind through native frames:
-// helpers catch TrapException into trap_code/trap_msg and return normally,
-// and the entry thunk rethrows with the canonical message so all three
-// tiers stay bit-identical.
+// storage (nested calls and the prologue's grow resize the vector) or
+// linear memory (memory.grow) refreshes stack_base / stack_size / mem_base /
+// mem_size in the context before returning; generated code reloads its
+// pinned registers from the context after every helper or native call.
+// Traps never unwind through native frames: helpers catch TrapException
+// into trap_code/trap_msg and return normally, and the entry thunk rethrows
+// with the canonical message so all three tiers stay bit-identical.
+#include <algorithm>
 #include <cstring>
 
 #include "wasm/compile.hpp"
@@ -24,6 +25,7 @@ namespace {
 /// the operand stack or grown linear memory.
 inline void refresh(JitContext* ctx) {
   ctx->stack_base = ctx->stack->data();
+  ctx->stack_size = ctx->stack->size();
   if (ctx->memory != nullptr) {
     ctx->mem_base = ctx->memory->data();
     ctx->mem_size = ctx->memory->byte_size();
@@ -159,6 +161,12 @@ void jit_helper_mem_fill(JitContext* ctx) {
   std::memset(mem->data() + dst, value, n);
 }
 
+void jit_helper_grow_stack(JitContext* ctx, std::uint64_t need) {
+  std::vector<std::uint64_t>& stack = *ctx->stack;
+  stack.resize(std::max<std::size_t>(need, stack.size() * 2));
+  refresh(ctx);
+}
+
 std::uint64_t jit_helper_br_table(JitContext* ctx, const BrTableEntry* entries,
                                   std::uint64_t count) {
   std::vector<std::uint64_t>& stack = *ctx->stack;
@@ -177,18 +185,15 @@ std::uint64_t jit_helper_br_table(JitContext* ctx, const BrTableEntry* entries,
 void exec_call_native(Instance& inst, TierSet& tier, const void* entry,
                       const CompiledFunc& cf, std::vector<std::uint64_t>& stack,
                       std::size_t& sp, int depth) {
-  // Mirrors the AOT-stream prologue exactly (frame shape, resize policy,
-  // local zeroing) so the two tiers are interchangeable mid-call-stack.
+  // The native prologue mirrors the AOT-stream one (frame shape, resize
+  // policy, local zeroing), so the two tiers are interchangeable
+  // mid-call-stack.
   const std::size_t base = sp - cf.num_params;
-  const std::size_t need = base + cf.num_locals + cf.max_operand_height + 8;
-  if (stack.size() < need) stack.resize(std::max(need, stack.size() * 2));
-  for (std::uint32_t i = cf.num_params; i < cf.num_locals; ++i)
-    stack[base + i] = 0;
-
   Memory* mem = inst.memory();
   std::string trap_msg;
   JitContext ctx;
   ctx.stack_base = stack.data();
+  ctx.stack_size = stack.size();
   ctx.sp = base + cf.num_locals;
   ctx.base = base;
   ctx.mem_base = mem != nullptr ? mem->data() : nullptr;
@@ -200,9 +205,10 @@ void exec_call_native(Instance& inst, TierSet& tier, const void* entry,
   ctx.tier = &tier;
   ctx.memory = mem;
   ctx.trap_msg = &trap_msg;
+  ctx.entries = tier.entry_table();
 
-  tier.count_native_entry();
   reinterpret_cast<NativeFn>(reinterpret_cast<std::uintptr_t>(entry))(&ctx);
+  tier.count_native_entries(1 + ctx.native_calls);
   tier.add_fallback_ops(ctx.fallback_ops);
   tier.add_fallback_classes(ctx.fallback_float, ctx.fallback_conv,
                             ctx.fallback_call, ctx.fallback_other);
@@ -223,6 +229,8 @@ void exec_call_native(Instance& inst, TierSet& tier, const void* entry,
            trunc_op_name(ctx.trap_aux));
     case kTrapTruncOverflow:
       trap(std::string("integer overflow in ") + trunc_op_name(ctx.trap_aux));
+    case kTrapCallDepth:
+      trap("call stack exhausted");
     default:
       throw TrapException{std::move(trap_msg)};
   }

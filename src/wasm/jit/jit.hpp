@@ -12,25 +12,41 @@
 //   r13 = linear memory base       r14 = linear memory size (bytes)
 //
 // Operand-stack heights are resolved STATICALLY (the validated stream has
-// one height per pc), so pushes/pops become moves to fixed [rbp + disp]
-// slots and the dynamic sp only materialises at callout boundaries.
-// Anything the baseline does not lower natively — f32/f64 arithmetic,
-// clz/ctz/popcnt, saturating truncation, calls, br_table unwinding,
-// memory.grow/copy/fill — goes through the jit_helper_* thunks below,
-// which run ordinary C++ against the same operand stack. Traps NEVER
-// unwind through native frames (there is no unwind info): helpers catch
+// one height per pc), so each height owns a fixed [rbp + disp] slot. Codegen
+// caches the stack in registers on top of that: an operand lives in a GPR
+// or XMM register, is a folded constant, aliases a local's slot, or is a
+// compare still in EFLAGS feeding a jcc/cmov; it is spilled to its slot
+// only when a register pool runs dry. Locals stay in their slots. Before
+// every branch, merge point, return, helper call and native call the cache
+// is flushed to the canonical slot layout, so the dynamic sp only
+// materialises at callout boundaries and every path into a merge sees the
+// same frame.
+//
+// Calls: a call to a module-local function whose native entry is installed
+// is a direct native-to-native call through the TierSet entry table
+// (`entries`): the caller checks depth against kMaxCallDepth, moves `base`
+// to the callee's frame, bumps `native_calls` and calls the entry with the
+// same JitContext; the callee's prologue grows the operand stack when its
+// frame does not fit (jit_helper_grow_stack) and zeroes its non-parameter
+// locals; the caller restores base/depth afterwards. Callees not yet
+// compiled, host imports and call_indirect go through jit_helper_call*
+// (the AOT dispatch, which also feeds the heat counters); so do the few
+// ops the baseline does not lower natively (float rounding, clz/ctz/popcnt,
+// saturating truncation, br_table unwinding, memory.grow/copy/fill), which
+// run ordinary C++ against the same operand stack. Traps NEVER unwind
+// through native frames (there is no unwind info): helpers catch
 // TrapException into `trap_code`/`trap_msg`, inline checks set the code
 // directly, and generated code tests the flag after every callout and
 // branches to the epilogue; the C++ entry thunk rethrows.
 //
-// Reload discipline (the pinned pointers of ISSUE 7's satellite fix): a
-// helper that can move the operand-stack storage or linear memory
-// (nested calls can resize the stack; a callee can memory.grow) updates
-// stack_base/mem_base/mem_size in the context, and generated code reloads
-// rbp/r13/r14 from the context after EVERY helper call before touching
-// either again.
+// Reload discipline: a helper or callee that can move the operand-stack
+// storage or linear memory (nested calls can resize the stack; a callee can
+// memory.grow) updates stack_base/stack_size/mem_base/mem_size in the
+// context, and generated code reloads rbp/r13/r14 from the context after
+// EVERY helper or native call before touching either again.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -56,6 +72,7 @@ inline constexpr std::int64_t kTrapUnreachable = 4;  // "unreachable executed"
 // per-opcode message ("invalid conversion to integer: NaN in i32.trunc_f64_s").
 inline constexpr std::int64_t kTrapTruncNan = 5;
 inline constexpr std::int64_t kTrapTruncOverflow = 6;
+inline constexpr std::int64_t kTrapCallDepth = 7;    // "call stack exhausted"
 inline constexpr std::int64_t kTrapCustom = -1;
 
 /// The native frame descriptor. Field offsets are baked into generated
@@ -75,13 +92,19 @@ struct JitContext {
   TierSet* tier = nullptr;              // 88: nested tiered dispatch
   Memory* memory = nullptr;             // 96
   std::string* trap_msg = nullptr;      // 104: kTrapCustom message
-  // Per-class thunk counters (fallback_ops = float + conv + other; calls are
-  // counted separately since call dispatch is expected, not missing coverage).
+  // Per-class thunk counters (fallback_ops = float + conv + other).
+  // fallback_call counts helper call dispatches only (callee not compiled
+  // yet, host imports, call_indirect); direct calls land in native_calls.
   std::uint64_t fallback_float = 0;     // 112: float arith/cmp still thunked
   std::uint64_t fallback_conv = 0;      // 120: conversions still thunked
   std::uint64_t fallback_other = 0;     // 128: clz/ctz/popcnt/...
   std::uint64_t fallback_call = 0;      // 136: call/call_indirect helpers
   std::int64_t trap_aux = 0;            // 144: opcode behind kTrapTrunc*
+  std::uint64_t stack_size = 0;         // 152: operand-stack capacity (slots)
+  /// 160: TierSet entry table, indexed by module-local function index;
+  /// null entries are still on the AOT stream.
+  const std::atomic<const void*>* entries = nullptr;
+  std::uint64_t native_calls = 0;       // 168: direct native-to-native calls
 };
 
 using NativeFn = void (*)(JitContext*);
@@ -134,13 +157,17 @@ void jit_helper_fallback(JitContext* ctx, std::uint32_t op);
 void jit_helper_memory_grow(JitContext* ctx);
 void jit_helper_mem_copy(JitContext* ctx);
 void jit_helper_mem_fill(JitContext* ctx);
+/// Prologue slow path: the frame needs `need` slots and the operand stack
+/// is smaller; resizes with the AOT stream's max(need, 2 x size) policy.
+void jit_helper_grow_stack(JitContext* ctx, std::uint64_t need);
 /// Pops the selector, unwinds per the chosen BrTableEntry and returns the
 /// target pc (generated code indirects through its pc->offset table).
 std::uint64_t jit_helper_br_table(JitContext* ctx, const BrTableEntry* entries,
                                   std::uint64_t count);
 
-/// Entry thunk: builds the native frame (mirrors the AOT-stream prologue,
-/// including the operand-stack resize), runs `entry`, flushes metrics and
+/// Entry thunk: builds the JitContext around the shared operand stack, runs
+/// `entry` (whose prologue sizes the frame and zeroes its locals), flushes
+/// metrics — one native entry plus every direct call made under it — and
 /// rethrows any recorded trap with its canonical message.
 void exec_call_native(Instance& inst, TierSet& tier, const void* entry,
                       const CompiledFunc& cf, std::vector<std::uint64_t>& stack,

@@ -10,6 +10,7 @@ TierSet::TierSet(const Module* module, std::span<const CompiledFunc> compiled,
       compiled_(compiled),
       config_(std::move(config)),
       funcs_(std::make_unique<TierFunc[]>(compiled.size())),
+      entries_(std::make_unique<std::atomic<const void*>[]>(compiled.size())),
       func_count_(static_cast<std::uint32_t>(compiled.size())) {}
 
 TierSet::~TierSet() {
@@ -29,13 +30,12 @@ void TierSet::note_call(std::uint32_t index) noexcept {
 }
 
 std::size_t TierSet::compile_pending() {
+  std::lock_guard<std::mutex> compile_lock(compile_mu_);
   std::vector<std::uint32_t> batch;
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
     batch.swap(pending_);
   }
-  if (batch.empty()) return 0;
-  std::lock_guard<std::mutex> lock(compile_mu_);
   std::size_t done = 0;
   for (std::uint32_t index : batch) {
     if (compile_one(index)) ++done;
@@ -56,7 +56,7 @@ std::size_t TierSet::compile_all() {
 
 bool TierSet::compile_one(std::uint32_t index) {
   TierFunc& f = funcs_[index];
-  if (f.entry.load(std::memory_order_relaxed) != nullptr ||
+  if (entries_[index].load(std::memory_order_relaxed) != nullptr ||
       f.failed.load(std::memory_order_relaxed)) {
     return false;
   }
@@ -87,7 +87,7 @@ bool TierSet::compile_one(std::uint32_t index) {
     h->record(elapsed_ns);
   const void* entry = image->entry();
   images_.push_back(std::move(image));
-  f.entry.store(entry, std::memory_order_release);
+  entries_[index].store(entry, std::memory_order_release);
   return true;
 }
 
@@ -105,9 +105,9 @@ void TierSet::bind_metrics(obs::Counter* compiles, obs::Counter* native_entries,
   sink_compile_ns_.store(compile_ns, std::memory_order_relaxed);
 }
 
-void TierSet::count_native_entry() noexcept {
-  entries_total_.fetch_add(1, std::memory_order_relaxed);
-  if (auto* c = sink_entries_.load(std::memory_order_relaxed)) c->add(1);
+void TierSet::count_native_entries(std::uint64_t n) noexcept {
+  entries_total_.fetch_add(n, std::memory_order_relaxed);
+  if (auto* c = sink_entries_.load(std::memory_order_relaxed)) c->add(n);
 }
 
 void TierSet::add_fallback_ops(std::uint64_t n) noexcept {

@@ -62,7 +62,13 @@ class TierSet {
   /// Hot path: the installed native entry for a module-local function
   /// index, or null while the function is still on the AOT stream.
   const void* entry_for(std::uint32_t index) const noexcept {
-    return funcs_[index].entry.load(std::memory_order_acquire);
+    return entries_[index].load(std::memory_order_acquire);
+  }
+  /// The entry pointers as one array (indexed like entry_for) for
+  /// generated code's direct calls: an aligned 8-byte load is an acquire
+  /// load on x86-64, pairing with compile_one's release-store.
+  const std::atomic<const void*>* entry_table() const noexcept {
+    return entries_.get();
   }
 
   /// Hot path: bump the heat counter; queues the function for background
@@ -70,7 +76,9 @@ class TierSet {
   void note_call(std::uint32_t index) noexcept;
 
   /// Control plane: compile everything the heat counters queued. Returns
-  /// the number of functions tiered up by this call.
+  /// the number of functions tiered up by this call. The batch is claimed
+  /// under the compile lock, so a call that finds nothing left returns only
+  /// after any concurrent sweep has installed what it claimed.
   std::size_t compile_pending();
 
   /// Control plane / tests: force-compile every eligible function now.
@@ -82,8 +90,9 @@ class TierSet {
                     obs::Counter* fallback_ops, obs::Histogram* compile_ns,
                     ClassSinks classes = {}) noexcept;
 
-  /// Called by the native entry thunk per invocation / at frame exit.
-  void count_native_entry() noexcept;
+  /// Called by the native entry thunk at frame exit: the entry itself plus
+  /// the direct native-to-native calls made under it.
+  void count_native_entries(std::uint64_t n) noexcept;
   void add_fallback_ops(std::uint64_t n) noexcept;
   void add_fallback_classes(std::uint64_t float_ops, std::uint64_t conv_ops,
                             std::uint64_t call_ops,
@@ -135,7 +144,7 @@ class TierSet {
   std::uint32_t native_functions() const noexcept {
     std::uint32_t n = 0;
     for (std::uint32_t i = 0; i < func_count_; ++i)
-      if (funcs_[i].entry.load(std::memory_order_relaxed) != nullptr) ++n;
+      if (entries_[i].load(std::memory_order_relaxed) != nullptr) ++n;
     return n;
   }
   /// Module heat: the sum of every function's call counter.
@@ -148,7 +157,6 @@ class TierSet {
 
  private:
   struct TierFunc {
-    std::atomic<const void*> entry{nullptr};
     std::atomic<std::uint64_t> calls{0};
     std::atomic<bool> requested{false};
     std::atomic<bool> failed{false};
@@ -161,6 +169,7 @@ class TierSet {
   std::span<const CompiledFunc> compiled_;
   TierConfig config_;
   std::unique_ptr<TierFunc[]> funcs_;
+  std::unique_ptr<std::atomic<const void*>[]> entries_;  ///< null = AOT stream
   std::uint32_t func_count_ = 0;  ///< size of funcs_ (snapshot scans)
 
   std::mutex pending_mu_;

@@ -99,6 +99,9 @@ class GatewayTieringTest : public ::testing::Test {
 TEST_F(GatewayTieringTest, HotInvokesTierUpViaControlPlaneSweep) {
   GatewayConfig config;
   config.jit_hot_calls = 1;  // first touch marks the function hot
+  // The background pump would race the explicit sweep below for the
+  // pending compile; park it for far longer than the test runs.
+  config.renewal_interval_ns = 3'600'000'000'000ull;
   SetUpFleet(config);
   AttachAndLoad();
 

@@ -713,10 +713,9 @@ TEST(JitCodegen, TruncTrapsMatchInterpreterMessages) {
 TEST(JitCodegen, FusedLoadOpStoreAndResultSink) {
   ModuleBuilder mb;
   mb.add_memory(1, 1);
-  // An accumulation loop shaped exactly like the fusion window: local.get
-  // feeding ALU ops (memory-operand fusion) and op results consumed by
-  // local.set (result sink). 10 locals defeat register residency so the
-  // frame-slot peepholes are the ones under test.
+  // An accumulation loop: local.get feeding ALU ops as memory operands,
+  // op results consumed by local.set straight from their registers, and a
+  // store/reload through memory between them.
   auto f = mb.add_function(
       sig({ValType::I32}, {ValType::I32}),
       {ValType::I32, ValType::I32, ValType::I32, ValType::I32, ValType::I32,
@@ -749,10 +748,10 @@ TEST(JitCodegen, FusedLoadOpStoreAndResultSink) {
   check_both(t, "f", {Value::from_i32(1000)});
 }
 
-TEST(JitCodegen, RegisterResidentSmallFunctions) {
+TEST(JitCodegen, SmallLoopsAndFloatChains) {
   ModuleBuilder mb;
-  // Small call-free int/float bodies whose locals + operand stack fit the
-  // slot-register file: the whole frame stays in registers.
+  // A small counted int loop and a call-free f64 chain: operands stay in
+  // cached registers between the loop's boundaries, f64 values in XMM.
   auto f = mb.add_function(sig({ValType::I32, ValType::I32}, {ValType::I32}),
                            {ValType::I32});
   CodeEmitter ce;
@@ -866,6 +865,124 @@ TEST(JitCodegen, HostCallFromNativeFrame) {
   Tiered t = make_tiered(mb.build(), imports);
   check_both(t, "f", {Value::from_i32(21)});
   check_both(t, "f", {Value::from_i32(-1)});
+}
+
+// ---------------------------------------------------------------------------
+// Direct native-to-native calls through the TierSet entry table.
+
+/// leaf(x) = x * 3 + 1; mid(x) = leaf(x) + leaf(x + 1);
+/// top(n) = sum over i < n of mid(i). top(n) makes 3n wasm->wasm calls.
+Bytes call_chain_module() {
+  ModuleBuilder mb;
+  const FuncType unary = sig({ValType::I32}, {ValType::I32});
+  auto leaf = mb.add_function(unary);
+  {
+    CodeEmitter ce;
+    ce.local_get(0).i32_const(3).op(kI32Mul).i32_const(1).op(kI32Add);
+    mb.set_body(leaf, ce.bytes());
+  }
+  auto mid = mb.add_function(unary);
+  {
+    CodeEmitter ce;
+    ce.local_get(0).call(leaf);
+    ce.local_get(0).i32_const(1).op(kI32Add).call(leaf);
+    ce.op(kI32Add);
+    mb.set_body(mid, ce.bytes());
+  }
+  auto top = mb.add_function(unary, {ValType::I32, ValType::I32});  // i, acc
+  {
+    CodeEmitter ce;
+    ce.block().loop();
+    ce.local_get(1).local_get(0).op(kI32GeS).br_if(1);
+    ce.local_get(2).local_get(1).call(mid).op(kI32Add).local_set(2);
+    ce.local_get(1).i32_const(1).op(kI32Add).local_set(1);
+    ce.br(0).end().end();
+    ce.local_get(2);
+    mb.set_body(top, ce.bytes());
+  }
+  mb.export_function("top", top);
+  return mb.build();
+}
+
+TEST(JitTiering, CompiledCallChainStaysNative) {
+  Tiered t = make_tiered(call_chain_module());
+  check_both(t, "top", {Value::from_i32(0)});
+  check_both(t, "top", {Value::from_i32(10)});
+  if (!t.tier) return;
+  const std::uint64_t entries = t.tier->native_entries();
+  const std::vector<Value> ten{Value::from_i32(10)};
+  auto r = t.nat->invoke("top", ten);
+  ASSERT_TRUE(r.ok()) << r.error();
+  // sum_{i<10} (3i+1) + (3i+4) = 6 * 45 + 50
+  EXPECT_EQ((*r)[0].i32(), 320);
+  // 30 calls, all direct: the entry plus one native entry per call, and
+  // not one helper dispatch.
+  EXPECT_EQ(t.tier->native_entries() - entries, 31u);
+  EXPECT_EQ(t.tier->fallback_call(), 0u);
+}
+
+TEST(JitTiering, UncompiledMiddleCalleeMixesFrames) {
+  if (!jit::jit_available()) GTEST_SKIP() << "JIT unavailable on this host";
+  auto aot = instantiate_aot(call_chain_module(), no_imports());
+  auto inst = instantiate_aot(call_chain_module(), no_imports());
+  ASSERT_TRUE(aot && inst);
+  // Keep `mid` (function 1) on the AOT stream: its copy in the tier's
+  // stream refuses, so top -> mid goes through the helper and the AOT
+  // stream, and mid -> leaf re-enters native code through the entry thunk.
+  std::vector<CompiledFunc> patched(inst->compiled.begin(), inst->compiled.end());
+  patched[1].code[0].op = 0x3fe;
+  jit::TierConfig config;
+  config.hot_threshold = 1 << 30;  // nothing tiers up behind the test's back
+  auto tier = std::make_shared<jit::TierSet>(&inst->module(), patched, std::move(config));
+  EXPECT_EQ(tier->compile_all(), 2u);
+  EXPECT_EQ(tier->entry_for(1), nullptr);
+  inst->tier = tier;
+
+  for (std::int32_t n : {0, 1, 7, 25}) {
+    const std::vector<Value> args{Value::from_i32(n)};
+    auto a = aot->invoke("top", args);
+    auto b = inst->invoke("top", args);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ((*a)[0].bits, (*b)[0].bits) << "n=" << n;
+  }
+  // n = 0 + 1 + 7 + 25 = 33 calls of mid, each a helper dispatch; each mid
+  // enters leaf natively twice through the entry thunk.
+  EXPECT_EQ(tier->fallback_call(), 33u);
+  EXPECT_EQ(tier->native_entries(), 4u + 66u);
+}
+
+TEST(JitTiering, CallIndirectDispatchesThroughTheHelper) {
+  ModuleBuilder mb;
+  mb.add_table(2, 2);
+  const FuncType binop = sig({ValType::I32, ValType::I32}, {ValType::I32});
+  const std::uint32_t binop_type = mb.add_type(binop);
+  auto add = mb.add_function(binop);
+  {
+    CodeEmitter ce;
+    ce.local_get(0).local_get(1).op(kI32Add);
+    mb.set_body(add, ce.bytes());
+  }
+  auto sub = mb.add_function(binop);
+  {
+    CodeEmitter ce;
+    ce.local_get(0).local_get(1).op(kI32Sub);
+    mb.set_body(sub, ce.bytes());
+  }
+  mb.add_element(0, {add, sub});
+  // f(a, b) = table[0](a, b) * table[1](a, b): two indirect calls.
+  auto f = mb.add_function(binop);
+  CodeEmitter ce;
+  ce.local_get(0).local_get(1).i32_const(0).call_indirect(binop_type);
+  ce.local_get(0).local_get(1).i32_const(1).call_indirect(binop_type);
+  ce.op(kI32Mul);
+  mb.set_body(f, ce.bytes());
+  mb.export_function("f", f);
+
+  Tiered t = make_tiered(mb.build());
+  check_both(t, "f", {Value::from_i32(30), Value::from_i32(12)});
+  if (!t.tier) return;
+  EXPECT_EQ(t.tier->fallback_call(), 2u);   // both calls went through the helper
+  EXPECT_EQ(t.tier->native_entries(), 3u);  // f, then add and sub via the thunk
 }
 
 // ---------------------------------------------------------------------------

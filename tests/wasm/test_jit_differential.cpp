@@ -17,9 +17,16 @@
 // across tiers as well. The float mix (phase 2) feeds NaN payloads, signed
 // zeroes, infinities and out-of-range truncation inputs through the f32/f64
 // arithmetic, min/max, comparison and conversion surface.
+//
+// A second generator (ControlFlowAgreesAcrossTiers, below) targets the
+// native tier's register cache and direct calls: value-carrying branches,
+// loops, compare-consumer shapes, register-pool spills, values live across
+// calls and recursion at the call-depth limit. It prints its first seed;
+// WATZ_FUZZ_SEED=0x<seed> replays (or moves) the range.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -609,6 +616,696 @@ TEST(JitDifferential, ThreeTiersAgreeOnSeededPrograms) {
   if (native) {
     EXPECT_GT(native_funcs, 100);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Control-flow differential fuzzing: the shapes the native tier's register
+// cache has to get right at every boundary. Its own generator and seed
+// range, so the expression corpus above stays byte-for-byte unchanged.
+//
+// Every function has the signature (i32 a, i32 b, f64 x) -> i64 and the
+// locals
+//   3: i32 outer loop counter   4: i32 accumulator   5: i64 scratch
+//   6: f64 accumulator          7: i32 inner loop counter
+// The generator emits value-carrying block/if/br/br_if/br_table (some over
+// junk the branch drops), f32 values read back as 64-bit bits, bounded
+// loops driven by the counter locals, compares feeding br_if/if/select and
+// plain arithmetic (wcc's `cmp; i32.const 0; i32.ne` and eqz chains
+// included), 16-21 operand folds that keep more values live than either
+// register pool holds, and calls with values live across them. Function 0
+// is `rec`, self-recursive with a value live across the recursive call; it
+// is invoked just under and just over kMaxCallDepth.
+class CfGen {
+ public:
+  CfGen(CodeEmitter& ce, Rng& rng, std::vector<std::uint32_t> callees)
+      : ce_(ce), rng_(rng), callees_(std::move(callees)) {}
+
+  /// A comparison result (i32 0/1): the flags-consumer shapes.
+  void cond(int d) {
+    if (d <= 0 || budget_-- <= 0) {
+      ce_.local_get(rng_.below(2)).local_get(4).op(kI32LtS);
+      return;
+    }
+    switch (rng_.below(8)) {
+      case 0:
+      case 1: {
+        static const Op kOps[] = {kI32Eq,  kI32Ne,  kI32LtS, kI32LtU, kI32GtS,
+                                  kI32GtU, kI32LeS, kI32LeU, kI32GeS, kI32GeU};
+        i32(d - 1);
+        i32(d - 1);
+        ce_.op(kOps[rng_.below(10)]);
+        return;
+      }
+      case 2: {
+        static const Op kOps[] = {kI64Eq, kI64Ne, kI64LtS, kI64GtU, kI64LeS, kI64GeU};
+        i64(d - 1);
+        i64(d - 1);
+        ce_.op(kOps[rng_.below(6)]);
+        return;
+      }
+      case 3:
+      case 4: {  // unordered compares fold the parity flag
+        static const Op kOps[] = {kF64Eq, kF64Ne, kF64Lt, kF64Gt, kF64Le, kF64Ge};
+        f64(d - 1);
+        f64(d - 1);
+        ce_.op(kOps[rng_.below(6)]);
+        return;
+      }
+      case 5: {
+        static const Op kOps[] = {kF32Eq, kF32Ne, kF32Lt, kF32Ge};
+        f64(d - 1);
+        ce_.op(kF32DemoteF64);
+        f64(d - 1);
+        ce_.op(kF32DemoteF64);
+        ce_.op(kOps[rng_.below(4)]);
+        return;
+      }
+      case 6:  // eqz chains
+        cond(d - 1);
+        ce_.op(kI32Eqz);
+        if (rng_.chance(1, 2)) ce_.op(kI32Eqz);
+        return;
+      default:  // wcc's boolean normalisation
+        cond(d - 1);
+        ce_.i32_const(0).op(rng_.chance(1, 2) ? kI32Ne : kI32Eq);
+        return;
+    }
+  }
+
+  void i32(int d) {
+    if (d <= 0 || budget_-- <= 0) return i32_terminal();
+    switch (rng_.below(15)) {
+      case 0:
+        return i32_terminal();
+      case 1: {
+        static const Op kOps[] = {kI32Add, kI32Sub,  kI32Mul,  kI32And, kI32Or,
+                                  kI32Xor, kI32Shl, kI32ShrS, kI32ShrU, kI32Rotl};
+        i32(d - 1);
+        i32(d - 1);
+        ce_.op(kOps[rng_.below(10)]);
+        return;
+      }
+      case 2: {  // division, divisor usually (not always) nonzero
+        static const Op kOps[] = {kI32DivS, kI32DivU, kI32RemS, kI32RemU};
+        i32(d - 1);
+        i32(d - 1);
+        if (rng_.chance(7, 8)) ce_.i32_const(1).op(kI32Or);
+        ce_.op(kOps[rng_.below(4)]);
+        return;
+      }
+      case 3:  // a compare consumed as a plain value
+        cond(d - 1);
+        i32(d - 1);
+        ce_.op(rng_.chance(1, 2) ? kI32Add : kI32Mul);
+        return;
+      case 4:
+        i32(d - 1);
+        i32(d - 1);
+        if (rng_.chance(3, 4))
+          cond(d - 1);
+        else
+          i32(d - 1);
+        ce_.op(kSelect);
+        return;
+      case 5:
+        if (rng_.chance(3, 4))
+          cond(d - 1);
+        else
+          i32(d - 1);
+        ce_.if_(0x7f);
+        i32(d - 1);
+        ce_.else_();
+        i32(d - 1);
+        ce_.end();
+        return;
+      case 6: {  // br_if carrying a value out of a block, maybe over junk
+        const bool junk = rng_.chance(1, 2);
+        ce_.block(0x7f);
+        if (junk) i64(d - 1);
+        i32(d - 1);
+        cond(d - 1);
+        ce_.br_if(0).op(kDrop);
+        if (junk) ce_.op(kDrop);
+        i32(d - 1);
+        ce_.end();
+        return;
+      }
+      case 7:  // br_table carrying a value to one of two blocks
+        ce_.block(0x7f).block(0x7f);
+        if (rng_.chance(1, 2)) f64(d - 1);  // junk the branch drops
+        i32(d - 1);
+        i32(d - 1);
+        ce_.i32_const(3).op(kI32And);
+        ce_.br_table({0, 1, 0}, 1);
+        ce_.end();
+        ce_.i32_const(static_cast<std::int32_t>(rng_.below(100))).op(kI32Add);
+        ce_.end();
+        return;
+      case 8:  // br with a value over junk, dead code behind it
+        ce_.block(0x7f);
+        if (rng_.chance(1, 2)) i32(d - 1);
+        i32(d - 1);
+        ce_.br(0).i32_const(7).op(kI32Add);
+        ce_.end();
+        return;
+      case 9:
+        if (loops_ >= 2) return i32_terminal();
+        ce_.block(0x7f);
+        loop_stmt(d - 1);
+        ce_.local_get(4);
+        ce_.end();
+        return;
+      case 10:
+        if (rng_.chance(1, 3)) return wide_fold(0x7f);
+        // The local's old value is still on the stack when it is written.
+        ce_.local_get(4);
+        i32(d - 1);
+        if (rng_.chance(1, 2)) {
+          ce_.local_tee(4);
+          i32(d - 1);
+          ce_.op(kI32Xor);
+        } else {
+          ce_.local_set(4);
+          i32(d - 1);
+        }
+        ce_.op(kI32Sub);
+        return;
+      case 11:
+        if (!callees_.empty()) {  // the left operand is live across the call
+          i32(d - 1);
+          call(d - 1);
+          ce_.op(kI32WrapI64).op(kI32Add);
+          return;
+        }
+        return i32_terminal();
+      case 12:
+        i64(d - 1);
+        ce_.op(kI32WrapI64);
+        return;
+      case 13:  // memory, usually masked in bounds
+        i32(d - 1);
+        if (rng_.chance(7, 8)) ce_.i32_const(0xfc).op(kI32And);
+        ce_.load(rng_.chance(1, 2) ? kI32Load : kI32Load8S, rng_.below(8));
+        return;
+      default:
+        ce_.global_get(0);
+        return;
+    }
+  }
+
+  void i64(int d) {
+    if (d <= 0 || budget_-- <= 0) return i64_terminal();
+    switch (rng_.below(10)) {
+      case 0:
+        return i64_terminal();
+      case 1: {
+        static const Op kOps[] = {kI64Add, kI64Sub, kI64Mul,  kI64Xor,
+                                  kI64And, kI64Or,  kI64ShrS, kI64Rotl};
+        i64(d - 1);
+        i64(d - 1);
+        ce_.op(kOps[rng_.below(8)]);
+        return;
+      }
+      case 2:
+        i32(d - 1);
+        ce_.op(rng_.chance(1, 2) ? kI64ExtendI32S : kI64ExtendI32U);
+        return;
+      case 3:
+        cond(d - 1);
+        ce_.if_(0x7e);
+        i64(d - 1);
+        ce_.else_();
+        i64(d - 1);
+        ce_.end();
+        return;
+      case 4:
+        i64(d - 1);
+        i64(d - 1);
+        cond(d - 1);
+        ce_.op(kSelect);
+        return;
+      case 5:
+        if (!callees_.empty()) {
+          i64(d - 1);
+          call(d - 1);
+          ce_.op(rng_.chance(1, 2) ? kI64Add : kI64Xor);
+          return;
+        }
+        return i64_terminal();
+      case 6:
+        ce_.block(0x7e);
+        i64(d - 1);
+        cond(d - 1);
+        ce_.br_if(0).op(kDrop);
+        i64(d - 1);
+        ce_.end();
+        return;
+      case 7:
+        if (rng_.chance(1, 2)) return wide_fold(0x7e);
+        return i64_terminal();
+      case 8:
+        if (rng_.chance(1, 2)) {
+          f64(d - 1);
+          ce_.op(kI64ReinterpretF64);
+        } else {  // f32 bits read back as 64: the upper half must be zero
+          f32(d - 1);
+          ce_.op(kI32ReinterpretF32).op(kI64ExtendI32U);
+        }
+        return;
+      default:
+        i64(d - 1);
+        ce_.local_tee(5);
+        return;
+    }
+  }
+
+  void f32(int d) {
+    if (d <= 0 || budget_-- <= 0) {
+      f64_terminal();
+      ce_.op(kF32DemoteF64);
+      return;
+    }
+    switch (rng_.below(6)) {
+      case 0: {
+        static const Op kOps[] = {kF32Add, kF32Sub, kF32Mul, kF32Div, kF32Max};
+        f32(d - 1);
+        f32(d - 1);
+        ce_.op(kOps[rng_.below(5)]);
+        return;
+      }
+      case 1:
+        cond(d - 1);
+        ce_.if_(0x7d);
+        f32(d - 1);
+        ce_.else_();
+        f32(d - 1);
+        ce_.end();
+        return;
+      case 2:
+        f32(d - 1);
+        f32(d - 1);
+        cond(d - 1);
+        ce_.op(kSelect);
+        return;
+      case 3:
+        ce_.block(0x7d);
+        f32(d - 1);
+        cond(d - 1);
+        ce_.br_if(0).op(kDrop);
+        f32(d - 1);
+        ce_.end();
+        return;
+      case 4:
+        if (rng_.chance(1, 2)) return wide_fold(0x7d);
+        [[fallthrough]];
+      default:
+        i32(d - 1);
+        ce_.op(kF32ConvertI32S);
+        return;
+    }
+  }
+
+  void f64(int d) {
+    if (d <= 0 || budget_-- <= 0) return f64_terminal();
+    switch (rng_.below(10)) {
+      case 0:
+        return f64_terminal();
+      case 1: {
+        static const Op kOps[] = {kF64Add, kF64Sub, kF64Mul, kF64Div, kF64Min, kF64Max};
+        f64(d - 1);
+        f64(d - 1);
+        ce_.op(kOps[rng_.below(6)]);
+        return;
+      }
+      case 2:
+        if (rng_.chance(1, 3)) {  // f32 bits widened to 64 and read as f64
+          f32(d - 1);
+          ce_.op(kI32ReinterpretF32).op(kI64ExtendI32U).op(kF64ReinterpretI64);
+          return;
+        }
+        i32(d - 1);
+        ce_.op(kF64ConvertI32S);
+        return;
+      case 3:
+        cond(d - 1);
+        ce_.if_(0x7c);
+        f64(d - 1);
+        ce_.else_();
+        f64(d - 1);
+        ce_.end();
+        return;
+      case 4:
+        f64(d - 1);
+        f64(d - 1);
+        cond(d - 1);
+        ce_.op(kSelect);
+        return;
+      case 5:  // an XMM value carried through a branch
+        ce_.block(0x7c);
+        f64(d - 1);
+        cond(d - 1);
+        ce_.br_if(0).op(kDrop);
+        f64(d - 1);
+        ce_.end();
+        return;
+      case 6:
+        if (rng_.chance(1, 2)) return wide_fold(0x7c);
+        return f64_terminal();
+      case 7: {
+        static const Op kOps[] = {kF64Sqrt, kF64Neg, kF64Abs};
+        if (rng_.chance(1, 2)) {  // the accumulator read, then overwritten
+          ce_.local_get(6);
+          f64(d - 1);
+          ce_.local_tee(6).op(kF64Sub);
+          return;
+        }
+        f64(d - 1);
+        ce_.op(kOps[rng_.below(3)]);
+        return;
+      }
+      case 8:
+        i32(d - 1);
+        ce_.i32_const(0xf8).op(kI32And);
+        ce_.load(kF64Load, 8 * rng_.below(4));
+        return;
+      default:
+        if (loops_ >= 2) return f64_terminal();
+        ce_.block(0x7c);
+        loop_stmt(d - 1);
+        ce_.local_get(6);
+        ce_.end();
+        return;
+    }
+  }
+
+  /// A bounded loop over the next free counter local: a while loop with
+  /// its exit test up front, or a do-while whose back edge tests a tee.
+  void loop_stmt(int d) {
+    const std::uint32_t counter = loops_ == 0 ? 3 : 7;
+    const std::int32_t trips = 1 + static_cast<std::int32_t>(rng_.below(6));
+    ++loops_;
+    ce_.i32_const(0).local_set(counter);
+    ce_.block().loop();
+    if (rng_.chance(1, 2)) {
+      ce_.local_get(counter).i32_const(trips).op(kI32GeS).br_if(1);
+      body(d);
+      ce_.local_get(counter).i32_const(1).op(kI32Add).local_set(counter);
+      ce_.br(0);
+    } else {
+      body(d);
+      ce_.local_get(counter).i32_const(1).op(kI32Add).local_tee(counter);
+      ce_.i32_const(trips).op(kI32LtS).br_if(0);
+    }
+    ce_.end().end();
+    --loops_;
+  }
+
+  /// A statement with no net stack effect.
+  void statement(int d) {
+    switch (rng_.below(6)) {
+      case 0:
+        if (loops_ < 2) return loop_stmt(d);
+        [[fallthrough]];
+      case 1:
+        ce_.local_get(4);
+        i32(d);
+        ce_.op(rng_.chance(1, 2) ? kI32Add : kI32Xor).local_set(4);
+        return;
+      case 2:
+        ce_.local_get(6);
+        f64(d);
+        ce_.op(kF64Add).local_set(6);
+        return;
+      case 3:
+        i32(d);
+        ce_.i32_const(0xf8).op(kI32And);
+        f64(d);
+        ce_.store(kF64Store, 8 * rng_.below(4));
+        return;
+      case 4:
+        ce_.local_get(6);
+        wide_fold(0x7c);
+        ce_.op(kF64Add).local_set(6);
+        return;
+      default:
+        i32(d);
+        ce_.global_set(0);
+        return;
+    }
+  }
+
+  void set_budget(int budget) { budget_ = budget; }
+
+ private:
+  void body(int d) {
+    const std::uint32_t n = 1 + rng_.below(2);
+    for (std::uint32_t i = 0; i < n; ++i) statement(d);
+    if (rng_.chance(1, 4)) {  // an early exit: if -> loop -> block
+      cond(d);
+      ce_.if_().br(2).end();
+    }
+  }
+
+  /// 16-21 computed operands pushed before any is consumed: more than
+  /// either register pool holds, so the cache spills its deepest entries.
+  void wide_fold(std::uint8_t type) {
+    const std::uint32_t n = 16 + rng_.below(6);
+    const std::int32_t k = static_cast<std::int32_t>(rng_.below(9)) - 4;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (type == 0x7f) {
+        i32(1);
+        ce_.i32_const(k).op(kI32Add);
+      } else if (type == 0x7e) {
+        i64(1);
+        ce_.i64_const(k).op(kI64Add);
+      } else if (type == 0x7c) {
+        f64(1);
+        ce_.f64_const(k).op(kF64Add);
+      } else {
+        f32(1);
+        ce_.f32_const(static_cast<float>(k)).op(kF32Add);
+      }
+    }
+    for (std::uint32_t i = 1; i < n; ++i) {
+      if (type == 0x7f) {
+        static const Op kOps[] = {kI32Add, kI32Sub, kI32Xor, kI32Mul};
+        ce_.op(kOps[rng_.below(4)]);
+      } else if (type == 0x7e) {
+        static const Op kOps[] = {kI64Add, kI64Sub, kI64Xor, kI64Mul};
+        ce_.op(kOps[rng_.below(4)]);
+      } else if (type == 0x7c) {
+        static const Op kOps[] = {kF64Add, kF64Sub, kF64Mul, kF64Min};
+        ce_.op(kOps[rng_.below(4)]);
+      } else {
+        static const Op kOps[] = {kF32Add, kF32Sub, kF32Mul, kF32Min};
+        ce_.op(kOps[rng_.below(4)]);
+      }
+    }
+  }
+
+  void call(int d) {
+    const std::uint32_t callee =
+        callees_[rng_.below(static_cast<std::uint32_t>(callees_.size()))];
+    if (callee == 0) {  // rec: a shallow, usually bounded recursion
+      i32(d);
+      ce_.i32_const(rng_.chance(7, 8) ? 15 : -1).op(kI32And);
+    } else {
+      i32(d);
+    }
+    i32(d);
+    f64(d);
+    ce_.call(callee);
+  }
+
+  void i32_terminal() {
+    switch (rng_.below(6)) {
+      case 0:
+        ce_.i32_const(static_cast<std::int32_t>(rng_.next()));
+        return;
+      case 1:
+        ce_.i32_const(static_cast<std::int32_t>(rng_.below(8)) - 2);
+        return;
+      case 2:
+        ce_.local_get(0);
+        return;
+      case 3:
+        ce_.local_get(1);
+        return;
+      case 4:
+        ce_.local_get(loops_ > 0 ? 3 : 4);
+        return;
+      default:
+        ce_.local_get(4);
+        return;
+    }
+  }
+  void i64_terminal() {
+    switch (rng_.below(4)) {
+      case 0:
+        ce_.i64_const((static_cast<std::int64_t>(rng_.next()) << 32) | rng_.next());
+        return;
+      case 1:
+        ce_.i64_const(static_cast<std::int64_t>(rng_.below(8)) - 2);
+        return;
+      case 2:
+        ce_.local_get(0).op(kI64ExtendI32S);
+        return;
+      default:
+        ce_.local_get(5);
+        return;
+    }
+  }
+  void f64_terminal() {
+    static const double kValues[] = {0.0, -0.0, 1.5, -2.25, 1e300,
+                                     f64_from_bits(0x7ff8000000000000ull),
+                                     f64_from_bits(0x7ff8dead00000001ull),
+                                     f64_from_bits(0x7ff0000000000000ull)};
+    switch (rng_.below(4)) {
+      case 0:
+        ce_.f64_const(kValues[rng_.below(8)]);
+        return;
+      case 1:
+        ce_.local_get(2);
+        return;
+      case 2:
+        ce_.local_get(6);
+        return;
+      default:
+        ce_.f64_const(static_cast<double>(rng_.below(64)) * 0.25 - 4.0);
+        return;
+    }
+  }
+
+  CodeEmitter& ce_;
+  Rng& rng_;
+  std::vector<std::uint32_t> callees_;
+  int loops_ = 0;
+  int budget_ = 80;
+};
+
+/// rec (function 0), then 1-3 functions that may call rec and each other;
+/// the last is exported as "main", rec as "rec".
+Bytes generate_control_module(std::uint64_t seed) {
+  Rng rng(seed);
+  ModuleBuilder mb;
+  mb.add_memory(1, 1);
+  mb.add_global(ValType::I32, true, static_cast<std::int32_t>(rng.next()));
+  const FuncType ft{{ValType::I32, ValType::I32, ValType::F64}, {ValType::I64}};
+  const std::vector<ValType> locals{ValType::I32, ValType::I32, ValType::I64,
+                                    ValType::F64, ValType::I32};
+
+  const auto rec = mb.add_function(ft, locals);
+  {
+    CodeEmitter ce;
+    CfGen gen(ce, rng, {});
+    gen.set_budget(24);
+    ce.local_get(0).i32_const(0).op(kI32LeS);
+    ce.if_(0x7e);
+    gen.i64(2);
+    ce.else_();
+    gen.i64(2);  // live across the recursive call
+    ce.local_get(0).i32_const(1).op(kI32Sub);
+    gen.i32(1);
+    gen.f64(1);
+    ce.call(rec);
+    ce.op(rng.chance(1, 2) ? kI64Add : kI64Xor);
+    ce.end();
+    mb.set_body(rec, ce.bytes());
+  }
+  mb.export_function("rec", rec);
+
+  std::vector<std::uint32_t> funcs{rec};
+  const std::uint32_t num_funcs = 1 + rng.below(3);
+  for (std::uint32_t i = 0; i < num_funcs; ++i) {
+    const auto f = mb.add_function(ft, locals);
+    CodeEmitter ce;
+    CfGen gen(ce, rng, funcs);
+    const std::uint32_t stmts = 1 + rng.below(2);
+    for (std::uint32_t s = 0; s < stmts; ++s) gen.statement(2);
+    gen.i64(4);
+    mb.set_body(f, ce.bytes());
+    funcs.push_back(f);
+  }
+  mb.export_function("main", funcs.back());
+  return mb.build();
+}
+
+Outcome run_named(Instance& inst, const char* name, std::span<const Value> args) {
+  auto r = inst.invoke(name, args);
+  if (!r.ok()) return {true, r.error()};
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>((*r)[0].bits));
+  return {false, buf};
+}
+
+std::uint64_t control_fuzz_seed() {
+  if (const char* env = std::getenv("WATZ_FUZZ_SEED")) return std::strtoull(env, nullptr, 0);
+  return 0xcf000000;
+}
+
+TEST(JitDifferential, ControlFlowAgreesAcrossTiers) {
+  const std::uint64_t first = control_fuzz_seed();
+  std::printf("control-flow fuzz seed: WATZ_FUZZ_SEED=0x%llx\n",
+              static_cast<unsigned long long>(first));
+  const ImportResolver imports;
+  const bool native = jit::jit_available();
+  int trapping_runs = 0, clean_runs = 0, depth_traps = 0;
+
+  for (std::uint64_t seed = first; seed < first + 120; ++seed) {
+    Bytes bin = generate_control_module(seed);
+    auto make = [&](ExecMode mode) -> std::unique_ptr<Instance> {
+      auto mod = decode_module(bin);
+      EXPECT_TRUE(mod.ok()) << "seed 0x" << std::hex << seed << ": " << mod.error();
+      if (!mod.ok()) return nullptr;
+      auto inst = Instance::instantiate(std::move(*mod), imports, mode);
+      EXPECT_TRUE(inst.ok()) << "seed 0x" << std::hex << seed << ": " << inst.error();
+      return inst.ok() ? std::move(*inst) : nullptr;
+    };
+    auto interp = make(ExecMode::Interp);
+    auto aot = make(ExecMode::Aot);
+    auto jitted = make(ExecMode::Aot);
+    ASSERT_TRUE(interp && aot && jitted) << "seed 0x" << std::hex << seed;
+    if (native) {
+      jit::TierConfig config;
+      config.hot_threshold = 1;
+      auto tier = std::make_shared<jit::TierSet>(&jitted->module(), jitted->compiled,
+                                                 std::move(config));
+      EXPECT_EQ(tier->compile_all(), jitted->compiled.size()) << "seed 0x" << std::hex << seed;
+      jitted->tier = tier;
+    }
+
+    auto agree = [&](const char* name, const std::vector<Value>& args, int run) {
+      const Outcome a = run_named(*interp, name, args);
+      const Outcome b = run_named(*aot, name, args);
+      const Outcome c = run_named(*jitted, name, args);
+      EXPECT_EQ(a.detail, b.detail) << "seed 0x" << std::hex << seed << " " << name
+                                    << " run " << std::dec << run;
+      EXPECT_EQ(b.detail, c.detail) << "seed 0x" << std::hex << seed << " " << name
+                                    << " run " << std::dec << run;
+      (a.trapped ? trapping_runs : clean_runs)++;
+      if (a.detail == "trap: call stack exhausted") ++depth_traps;
+    };
+    static const std::int32_t kI32s[] = {0, 1, -1, 5, INT32_MIN, 0x7fff};
+    static const double kF64s[] = {0.0, -1.5, 3.25, 1e10};
+    Rng pick(seed ^ 0x5a5a5a5a);
+    for (int v = 0; v < 4; ++v) {
+      agree("main",
+            {Value::from_i32(kI32s[pick.below(6)]), Value::from_i32(kI32s[pick.below(6)]),
+             Value::from_f64(kF64s[pick.below(4)])},
+            v);
+    }
+    // rec(n) nests n calls below the entry: depth kMaxCallDepth still runs,
+    // one more traps.
+    for (int n = kMaxCallDepth - 1; n <= kMaxCallDepth + 1; ++n)
+      agree("rec", {Value::from_i32(n), Value::from_i32(3), Value::from_f64(0.5)}, n);
+    if (HasFailure()) return;
+  }
+
+  // Nearly every module traps on depth once (a few rec bodies trap first,
+  // e.g. on a division).
+  EXPECT_GT(clean_runs, 200);
+  EXPECT_GT(trapping_runs, 120);
+  EXPECT_GT(depth_traps, 100);
 }
 
 }  // namespace
