@@ -81,11 +81,11 @@ class Emitter {
     if (r || w) u8(0x40 | r);
   }
 
-  /// REX for an instruction whose `reg` operand is a byte register: spl,
+  /// REX for an instruction with the byte-register operand `byte`: spl,
   /// bpl, sil and dil (4..7) are only addressable with a REX prefix.
-  void rex8(std::uint8_t reg, std::uint8_t index, std::uint8_t base) {
+  void rex8(std::uint8_t byte, std::uint8_t reg, std::uint8_t index, std::uint8_t base) {
     const std::uint8_t r = ((reg & 8) >> 1) | ((index & 8) >> 2) | ((base & 8) >> 3);
-    if (r || (reg >= 4 && reg < 8)) u8(0x40 | r);
+    if (r || (byte >= 4 && byte < 8)) u8(0x40 | r);
   }
 
   void modrm(std::uint8_t mod, std::uint8_t reg, std::uint8_t rm) {
@@ -206,7 +206,7 @@ class Emitter {
                  Reg src) {
     switch (width_log2) {
       case 0:
-        rex8(src, index, base);
+        rex8(src, src, index, base);
         u8(0x88);
         break;
       case 1:
@@ -327,15 +327,14 @@ class Emitter {
     }
     modrm(3, dst, src);
   }
-  void setcc(Cond cc, Reg r) {  // setcc r8 (the byte register is in r/m)
-    if (r >= 4) u8(static_cast<std::uint8_t>(0x40 | ((r & 8) >> 3)));
+  void setcc(Cond cc, Reg r) {  // setcc r8
+    rex8(r, 0, 0, r);
     u8(0x0F);
     u8(static_cast<std::uint8_t>(0x90 | cc));
     modrm(3, 0, r);
   }
   void movzx8_rr(Reg dst, Reg src) {  // movzx r32, r8
-    const std::uint8_t r = ((dst & 8) >> 1) | ((src & 8) >> 3);
-    if (r || (src >= 4 && src < 8)) u8(0x40 | r);
+    rex8(src, dst, 0, src);
     u8(0x0F);
     u8(0xB6);
     modrm(3, dst, src);
