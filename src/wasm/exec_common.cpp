@@ -46,11 +46,13 @@ inline std::uint64_t bits_of(double v) {
   return b;
 }
 
-/// The result of `a OP b` with the NaN propagation of the SSE unit every
-/// tier computes on: a NaN operand's payload survives (quieted), the first
-/// operand's when both are NaN. Pinned here because the C++ compiler may
-/// commute + and *, which would leave the payload of a NaN + NaN sum to
-/// register allocation — and differ from the native tier's `a OP= b`.
+/// The result of `a OP b` for a commutative OP (+, *) with the NaN
+/// propagation of the SSE unit every tier computes on: a NaN operand's
+/// payload survives (quieted), the first operand's when both are NaN. The
+/// C++ compiler may commute + and *, which would leave the payload of a
+/// NaN + NaN sum to register allocation — and differ from the native tier's
+/// `a OP= b`. - and / cannot be commuted, so the hardware already applies
+/// this rule to them.
 template <typename F>
 F nan_ordered(F a, F b, F r) {
   if (!std::isnan(r)) [[likely]]
@@ -284,9 +286,9 @@ void exec_numeric(std::uint16_t op, std::vector<std::uint64_t>& stack, std::size
     case kF32Nearest: push(bits_of(wasm_nearest(as_f32(pop())))); return;
     case kF32Sqrt: push(bits_of(std::sqrt(as_f32(pop())))); return;
     case kF32Add: { const auto b = as_f32(pop()), a = as_f32(pop()); push(bits_of(nan_ordered(a, b, a + b))); return; }
-    case kF32Sub: { const auto b = as_f32(pop()), a = as_f32(pop()); push(bits_of(nan_ordered(a, b, a - b))); return; }
+    case kF32Sub: { const auto b = as_f32(pop()), a = as_f32(pop()); push(bits_of(a - b)); return; }
     case kF32Mul: { const auto b = as_f32(pop()), a = as_f32(pop()); push(bits_of(nan_ordered(a, b, a * b))); return; }
-    case kF32Div: { const auto b = as_f32(pop()), a = as_f32(pop()); push(bits_of(nan_ordered(a, b, a / b))); return; }
+    case kF32Div: { const auto b = as_f32(pop()), a = as_f32(pop()); push(bits_of(a / b)); return; }
     case kF32Min: { const auto b = as_f32(pop()), a = as_f32(pop()); push(bits_of(wasm_min(a, b))); return; }
     case kF32Max: { const auto b = as_f32(pop()), a = as_f32(pop()); push(bits_of(wasm_max(a, b))); return; }
     case kF32Copysign: { const auto b = as_f32(pop()), a = as_f32(pop()); push(bits_of(std::copysign(a, b))); return; }
@@ -300,9 +302,9 @@ void exec_numeric(std::uint16_t op, std::vector<std::uint64_t>& stack, std::size
     case kF64Nearest: push(bits_of(wasm_nearest(as_f64(pop())))); return;
     case kF64Sqrt: push(bits_of(std::sqrt(as_f64(pop())))); return;
     case kF64Add: { const auto b = as_f64(pop()), a = as_f64(pop()); push(bits_of(nan_ordered(a, b, a + b))); return; }
-    case kF64Sub: { const auto b = as_f64(pop()), a = as_f64(pop()); push(bits_of(nan_ordered(a, b, a - b))); return; }
+    case kF64Sub: { const auto b = as_f64(pop()), a = as_f64(pop()); push(bits_of(a - b)); return; }
     case kF64Mul: { const auto b = as_f64(pop()), a = as_f64(pop()); push(bits_of(nan_ordered(a, b, a * b))); return; }
-    case kF64Div: { const auto b = as_f64(pop()), a = as_f64(pop()); push(bits_of(nan_ordered(a, b, a / b))); return; }
+    case kF64Div: { const auto b = as_f64(pop()), a = as_f64(pop()); push(bits_of(a / b)); return; }
     case kF64Min: { const auto b = as_f64(pop()), a = as_f64(pop()); push(bits_of(wasm_min(a, b))); return; }
     case kF64Max: { const auto b = as_f64(pop()), a = as_f64(pop()); push(bits_of(wasm_max(a, b))); return; }
     case kF64Copysign: { const auto b = as_f64(pop()), a = as_f64(pop()); push(bits_of(std::copysign(a, b))); return; }
