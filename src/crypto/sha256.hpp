@@ -24,8 +24,6 @@ class Sha256 {
   Sha256Digest finish() noexcept;
 
  private:
-  void process_block(const std::uint8_t* block) noexcept;
-
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, 64> buffer_{};
   std::size_t buffered_ = 0;

@@ -497,6 +497,12 @@ Result<Bytes> Gateway::handle_load_module(ByteView request) {
   if (!req.ok()) return Result<Bytes>::err(req.error());
   if (!sessions_.find(req->session_id))
     return Result<Bytes>::err("gateway: unknown session");
+  // A binary the registry can never hold is refused outright: registering
+  // it would evict every other tenant's binary and still overrun the budget.
+  if (req->binary.size() > config_.binary_registry_budget_bytes)
+    return Result<Bytes>::err("gateway: binary of " + std::to_string(req->binary.size()) +
+                              " bytes exceeds the registry budget of " +
+                              std::to_string(config_.binary_registry_budget_bytes) + " bytes");
 
   LoadModuleResponse resp;
   resp.measurement = crypto::sha256(req->binary);
@@ -1316,6 +1322,7 @@ void Gateway::register_binary(const crypto::Sha256Digest& measurement, Bytes bin
   // The normal-world registry is budgeted like the secure-side caches:
   // least-recently-used binaries are dropped to make room (an evicted
   // binary simply has to be re-uploaded before its next cold miss).
+  // handle_load_module refuses binaries larger than the whole budget.
   while (!binaries_.empty() &&
          binaries_bytes_ + binary.size() > config_.binary_registry_budget_bytes) {
     auto victim = binaries_.begin();

@@ -77,7 +77,8 @@ struct GatewayConfig {
   std::size_t default_heap_bytes = 2 * 1024 * 1024;
   /// Normal-world budget for the LOAD_MODULE binary registry;
   /// least-recently-used binaries are dropped beyond it (clients re-upload
-  /// on the resulting cold miss).
+  /// on the resulting cold miss). LOAD_MODULE refuses a binary larger than
+  /// the whole budget.
   std::size_t binary_registry_budget_bytes = 64 * 1024 * 1024;
   /// Bound of each slot's run queue (queued + executing work items).
   /// Invoke admission past it answers QUEUE_FULL.

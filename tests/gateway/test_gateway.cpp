@@ -181,6 +181,49 @@ class GatewaySingleDeviceTest : public GatewayTest {
   void SetUp() override { SetUpFleet(1); }
 };
 
+/// Single device behind a 1 MiB binary registry.
+class GatewaySmallRegistryTest : public GatewayTest {
+ protected:
+  void SetUp() override {
+    GatewayConfig config;
+    config.binary_registry_budget_bytes = 1 << 20;
+    SetUpFleet(1, config);
+  }
+};
+
+/// A binary larger than the whole registry budget is refused before it is
+/// hashed, and the binaries already registered stay.
+TEST_F(GatewaySmallRegistryTest, OversizedBinaryIsRefusedWithoutEvicting) {
+  const GatewayConfig& config = gateway_->config();
+  auto attach = client_->attach("tenant-a");
+  ASSERT_TRUE(attach.ok()) << attach.error();
+
+  const Bytes first = sized_app(512, 1);
+  ASSERT_GT(first.size(), 500u * 1024);
+  ASSERT_LT(first.size(), config.binary_registry_budget_bytes);
+  auto load = client_->load_module(attach->session_id, first);
+  ASSERT_TRUE(load.ok()) << load.error();
+  EXPECT_EQ(gateway_->stats().modules_registered, 1u);
+
+  const Bytes oversized(2 << 20, 0x5a);
+  auto refused = client_->load_module(attach->session_id, oversized);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.error().find("exceeds the registry budget"), std::string::npos)
+      << refused.error();
+  EXPECT_EQ(gateway_->stats().modules_registered, 1u);
+
+  // The first binary is still registered: its cold invoke needs no re-upload.
+  InvokeRequest req;
+  req.session_id = attach->session_id;
+  req.measurement = load->measurement;
+  req.entry = "run";
+  req.heap_bytes = 1 << 20;
+  auto r = client_->invoke(req);
+  ASSERT_TRUE(r.ok()) << r.error();
+  EXPECT_FALSE(r->module_cache_hit);
+  EXPECT_EQ(gateway_->stats().modules_registered, 1u);
+}
+
 TEST_F(GatewaySingleDeviceTest, RebootedDeviceIsReattested) {
   auto attach = client_->attach("tenant-a");
   ASSERT_TRUE(attach.ok());
