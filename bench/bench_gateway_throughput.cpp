@@ -29,6 +29,7 @@
 #include "ann/dataset.hpp"
 #include "ann/guest.hpp"
 #include "bench/harness.hpp"
+#include "db/kv_guest.hpp"
 #include "gateway/gateway.hpp"
 #include "net/chaos_fabric.hpp"
 #include "polybench/suite.hpp"
@@ -937,6 +938,68 @@ int main(int argc, char** argv) {
   }
   report.metric("genann_native_speedup", genann_speedup, "x");
   report.metric("genann_fallback_calls", genann_fallback_calls, "calls");
+
+  // ---- phase 8c: fig6 kv guest op mix, AOT-pinned vs tiered ---------------
+  // The Fig 6 Wasm workload (minikv: hash index + append log, integer and
+  // call heavy) gets the same treatment as genann above: one op mix on an
+  // AOT-pinned instance and on a force-compiled one, gated on the ratio and
+  // on zero helper call dispatches in the tiered steady state. The two
+  // instances must also end in the same store state.
+  if (tables)
+    std::printf("\n=== Gateway: kv guest (fig6) op mix, AOT vs tiered ===\n");
+  double kv_speedup = 1.0;
+  double kv_fallback_calls = 0.0;  // helper call dispatches, tiered reps
+  {
+    static const wasm::ImportResolver kNoImports;
+    const Bytes module = db::kv_guest_module();
+    std::int32_t checksums[2] = {0, 0};
+
+    auto mix_median_ns = [&](bool tiered) {
+      auto inst = bench::instantiate_ree(module, kNoImports);
+      std::shared_ptr<wasm::jit::TierSet> tier;
+      if (tiered && wasm::jit::jit_available()) {
+        wasm::jit::TierConfig config;
+        config.hot_threshold = 1;
+        tier = std::make_shared<wasm::jit::TierSet>(
+            &inst->module(), inst->compiled, std::move(config));
+        tier->compile_all();
+        inst->tier = tier;
+      }
+      auto op = [&](const char* fn, std::int32_t arg) {
+        return bench::invoke_i32(*inst, fn, {wasm::Value::from_i32(arg)});
+      };
+      op("kv_setup", 2000);
+      auto run_once = [&] {
+        op("kv_inserts", 400);
+        if (op("kv_lookups", 800) <= 0) throw Error("bench: kv lookups found nothing");
+        op("kv_updates", 300);
+        op("kv_deletes", 100);
+        op("kv_range", 1);
+      };
+      run_once();  // warm
+      const std::uint64_t calls_before = tier ? tier->fallback_call() : 0;
+      const std::uint64_t ns = bench::median_ns(3, run_once);
+      if (tier)
+        kv_fallback_calls = static_cast<double>(tier->fallback_call() - calls_before);
+      checksums[tiered ? 1 : 0] = bench::invoke_i32(*inst, "kv_checksum", {});
+      return ns;
+    };
+
+    const std::uint64_t aot_ns = mix_median_ns(false);
+    const std::uint64_t native_ns = mix_median_ns(true);
+    if (checksums[0] != checksums[1])
+      throw Error("bench: kv store state differs between the AOT stream and the native tier");
+    if (native_ns > 0)
+      kv_speedup = static_cast<double>(aot_ns) / static_cast<double>(native_ns);
+    if (tables)
+      std::printf("  op mix : AOT stream %8.2f ms | tiered %8.2f ms -> %.2fx%s\n"
+                  "  tiered steady state: %.0f helper call dispatch(es)\n",
+                  aot_ns / 1e6, native_ns / 1e6, kv_speedup,
+                  wasm::jit::jit_available() ? "" : " (JIT unavailable)",
+                  kv_fallback_calls);
+  }
+  report.metric("kv_native_speedup", kv_speedup, "x");
+  report.metric("kv_fallback_calls", kv_fallback_calls, "calls");
 
   // ---- phase 9: chaos failover on the prewarmed path ----------------------
   // A 2-device fleet behind a ChaosFabric with cross-device module prewarm

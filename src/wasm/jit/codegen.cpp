@@ -18,10 +18,29 @@
 //   * Mem       — a frame slot: its own canonical slot, or a local's slot
 //     (a `local.get` alias: no code, consumers read the local as a memory
 //     operand; a write to the local first loads its live aliases);
+//   * Pin       — a `local.get` alias of a pinned local (below): no code,
+//     consumers read the local's register in place;
 //   * Flags     — a comparison whose boolean is still only in EFLAGS. A
 //     consuming br_if / br_if_false / select / eqz / `!= 0` compiles to one
 //     jcc/cmov; anything else first materialises it with setcc.
-// Locals are never cached: they stay in their frame slots.
+//
+// PINNED LOCALS. The hottest locals live in one fixed register each for the
+// whole function; the rest stay in their frame slots. Heat is the count of
+// local.get/set/tee, each weighted 8x per enclosing loop (a loop runs from
+// a backward-branch target to its last backward branch); a local with heat
+// <= 1 is not worth a register. Up to 5 i32/i64 locals take GPRs (rbx and
+// r12 — callee-saved — go to the two hottest; then rsi, rdi, r8), leaving
+// at least 3 GPRs for the value stack, since an op holds at most three.
+// Up to 8 f32/f64 locals take xmm8-xmm15, leaving 6 XMM registers. Because
+// the assignment never changes, every edge into a merge, loop header or
+// br_table target agrees on it and no join needs reconciliation code. The
+// prologue loads pinned parameters after the stack-growth check (the stack
+// may move) and zeroes the other pinned locals with xor. Writes go to the
+// register (live aliases are copied first). Every call out of the
+// function — native callee or C++ helper — may clobber caller-saved
+// registers, so the pinned locals held there are stored to their own frame
+// slots before it and reloaded after; the callee's frame lies above the
+// caller's locals. Return and trap exits need no write-back.
 //
 // BOUNDARIES. Before any branch, merge target, return, helper call or
 // native call the cache is flushed to the canonical slot layout (Liftoff's
@@ -41,9 +60,11 @@
 //
 // Register map (see jit.hpp): r15 = JitContext*, rbp = &stack[base],
 // r13 = memory base, r14 = memory size; rax/rcx/rdx and xmm0/xmm1 are
-// scratch inside one op. After any helper or native call the pinned
-// rbp/r13/r14 are reloaded from the context and the trap flag is checked
-// (nothing unwinds through native frames; see exec_native.cpp).
+// scratch inside one op; rbx, r12, rsi, rdi, r8-r11 and xmm2-xmm15 hold
+// pinned locals first and serve the value stack with the rest. After any
+// helper or native call the pinned rbp/r13/r14 are reloaded from the
+// context, then the caller-saved pinned locals, and the trap flag is
+// checked (nothing unwinds through native frames; see exec_native.cpp).
 //
 // Float semantics: add/sub/mul/div/sqrt run on the SSE2 scalar unit — the
 // unit GCC compiles the interpreter's C++ float ops to, with the same
@@ -179,16 +200,42 @@ std::optional<int> op_delta(const Module& m, const Instr& ins) {
   return std::nullopt;
 }
 
+/// Ops whose lowering calls out of the function (a native callee or a C++
+/// helper: calls, br_table, memory.grow/copy/fill and the ops emit_numeric
+/// leaves to the fallback thunk), clobbering the caller-saved registers.
+bool calls_out(std::uint16_t op) {
+  switch (op) {
+    case kCall:
+    case kCallIndirect:
+    case kBrTable:
+    case kMemoryGrow:
+    case kInstrMemCopy:
+    case kInstrMemFill:
+      return true;
+    default:
+      return (op >= kI32Clz && op <= kI32Popcnt) || (op >= kI64Clz && op <= kI64Popcnt) ||
+             (op >= kF32Ceil && op <= kF32Nearest) || (op >= kF64Ceil && op <= kF64Nearest) ||
+             (op >= kInstrTruncSatBase && op < kInstrTruncSatBase + 8);
+  }
+}
+
 class FnCompiler {
  public:
-  FnCompiler(const Module& module, const CompiledFunc& func)
-      : module_(module), func_(func), num_locals_(func.num_locals) {}
+  FnCompiler(const Module& module, std::uint32_t func_index, const CompiledFunc& func)
+      : module_(module), func_(func), num_locals_(func.num_locals) {
+    if (func_index < module.functions.size() && func_index < module.code.size()) {
+      local_types_ = module.types[module.functions[func_index]].params;
+      const auto& declared = module.code[func_index].locals;
+      local_types_.insert(local_types_.end(), declared.begin(), declared.end());
+    }
+  }
 
   bool run() {
     if (!prescan()) return false;
+    select_pins();
     vs_.assign(func_.max_operand_height, Val{});
-    gpr_.fill(kFree);
-    xmm_.fill(kFree);
+    gpr_ = gpr_base_;
+    xmm_ = xmm_base_;
     emit_prologue();
     if (!emit_body()) return false;
     emit_tail();
@@ -208,6 +255,7 @@ class FnCompiler {
     height_.assign(n, -1);
     is_target_.assign(n, 0);
     dead_.assign(n, 0);
+    loop_end_.assign(n, 0);
     int cur = 0;
     bool known = true;  // false after an unconditional control transfer
     for (std::size_t pc = 0; pc < n; ++pc) {
@@ -229,7 +277,10 @@ class FnCompiler {
       auto seed = [&](std::uint32_t target, int h) {
         if (target >= n || h < 0) return false;
         is_target_[target] = 1;
-        if (target <= pc) return height_[target] == h;  // backward edge
+        if (target <= pc) {  // backward edge: `target` heads a loop
+          loop_end_[target] = std::max(loop_end_[target], static_cast<std::uint32_t>(pc + 1));
+          return height_[target] == h;
+        }
         if (height_[target] >= 0 && height_[target] != h) return false;
         height_[target] = h;
         return true;
@@ -288,9 +339,98 @@ class FnCompiler {
     return false;
   }
 
+  // -- pinned locals ------------------------------------------------------------
+
+  /// A local's whole-function register (see PINNED LOCALS above).
+  struct Pin {
+    bool on = false;
+    bool xmm = false;  // f32/f64 local in an XMM register
+    bool f32 = false;
+    std::uint8_t reg = 0;
+  };
+
+  static constexpr std::uint8_t kGprPins[5] = {RBX, R12, RSI, RDI, R8};
+  static constexpr std::uint8_t kXmmPins[8] = {8, 9, 10, 11, 12, 13, 14, 15};
+
+  /// Weighs each local's accesses by loop depth and hands the hottest
+  /// their registers; marks those registers as out of the value-stack pools.
+  void select_pins() {
+    pins_.assign(num_locals_, Pin{});
+    gpr_base_.fill(kFree);
+    xmm_base_.fill(kFree);
+    if (local_types_.size() != num_locals_) return;
+    const auto& code = func_.code;
+    const std::size_t n = code.size();
+    std::vector<int> depth_step(n + 1, 0);
+    for (std::size_t pc = 0; pc < n; ++pc) {
+      if (loop_end_[pc] == 0) continue;
+      ++depth_step[pc];
+      --depth_step[loop_end_[pc]];
+    }
+    std::vector<std::uint64_t> heat(num_locals_, 0);
+    std::uint64_t call_heat = 0;
+    int depth = 0;
+    for (std::size_t pc = 0; pc < n; ++pc) {
+      depth += depth_step[pc];
+      if (dead_[pc]) continue;
+      const std::uint16_t op = code[pc].op;
+      const std::uint64_t weight = 1ull << (3 * std::min(depth, 6));
+      if (op == kLocalGet || op == kLocalSet || op == kLocalTee) heat[code[pc].a] += weight;
+      if (calls_out(op)) call_heat += weight;
+    }
+    std::vector<std::uint32_t> order(num_locals_);
+    for (std::uint32_t i = 0; i < num_locals_; ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::uint32_t a, std::uint32_t b) { return heat[a] > heat[b]; });
+    std::size_t gprs = 0, xmms = 0;
+    for (const std::uint32_t local : order) {
+      if (heat[local] <= 1) break;
+      const ValType t = local_types_[local];
+      // A caller-saved register costs a store and a load at every call
+      // out: worth it only for a local used more often than that.
+      const bool pays_calls = heat[local] > 2 * call_heat;
+      Pin& p = pins_[local];
+      if ((t == ValType::I32 || t == ValType::I64) && gprs < std::size(kGprPins) &&
+          (gprs < 2 || pays_calls)) {
+        p = {.on = true, .reg = kGprPins[gprs++]};
+        gpr_base_[p.reg] = kPinned;
+      } else if ((t == ValType::F32 || t == ValType::F64) && xmms < std::size(kXmmPins) &&
+                 pays_calls) {
+        p = {.on = true, .xmm = true, .f32 = t == ValType::F32, .reg = kXmmPins[xmms++]};
+        xmm_base_[p.reg] = kPinned;
+      } else {
+        continue;
+      }
+      if (p.xmm || (p.reg != RBX && p.reg != R12)) caller_saved_.push_back(local);
+    }
+  }
+
+  /// Stores the pinned locals in caller-saved registers to their own slots
+  /// before a call out of the function (f32 locals too: the 8-byte round
+  /// trip restores the register exactly, and nothing else reads the slot).
+  void save_pinned_locals() {
+    for (const std::uint32_t local : caller_saved_) {
+      const Pin& p = pins_[local];
+      if (p.xmm)
+        e_.movf_store(true, RBP, local_disp(local), p.reg);
+      else
+        e_.store64(RBP, local_disp(local), static_cast<Reg>(p.reg));
+    }
+  }
+  /// Reloads them after the call, once rbp is re-derived.
+  void reload_pinned_locals() {
+    for (const std::uint32_t local : caller_saved_) {
+      const Pin& p = pins_[local];
+      if (p.xmm)
+        e_.movf_load(true, p.reg, RBP, local_disp(local));
+      else
+        e_.load64(static_cast<Reg>(p.reg), RBP, local_disp(local));
+    }
+  }
+
   // -- the abstract value stack -------------------------------------------------
 
-  enum class Loc : std::uint8_t { Mem, Gpr, Xmm, Const, Flags };
+  enum class Loc : std::uint8_t { Mem, Gpr, Xmm, Const, Flags, Pin };
 
   /// A boolean still in EFLAGS. `parity` folds ucomis' unordered case:
   /// 0 = cc alone, 1 = cc AND ordered (f eq), 2 = cc OR unordered (f ne).
@@ -305,21 +445,38 @@ class FnCompiler {
 
   struct Val {
     Loc loc = Loc::Mem;
-    std::uint8_t reg = 0;    // Gpr / Xmm
-    bool f32 = false;        // Xmm holding an f32 (4-byte spill + zero upper)
+    std::uint8_t reg = 0;    // Gpr / Xmm / Pin
+    bool f32 = false;        // Xmm/Pin holding an f32 (4-byte spill + zero upper)
     Flag fl{};               // Flags
-    std::uint32_t idx = 0;   // Mem: frame index (local, or num_locals + h)
+    std::uint32_t idx = 0;   // Mem: frame index (local, or num_locals + h); Pin: local
     std::uint64_t imm = 0;   // Const: the canonical 64-bit slot bits
   };
 
   // Pools exclude the pinned r15/rbp/r13/r14 and the per-op scratch
   // rax/rcx/rdx (div, shifts, setcc folding) and xmm0/xmm1 (truncation).
   // rbx/r12 are saved by the prologue; the rest are caller-saved, which is
-  // fine because the cache is flushed before every call.
+  // fine because the cache is flushed before every call. Registers given to
+  // pinned locals are marked kPinned and never allocated or freed.
   static constexpr std::uint8_t kGprPool[8] = {RBX, R12, RSI, RDI, R8, R9, R10, R11};
   static constexpr std::uint8_t kXmmPool[14] = {2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15};
-  static constexpr int kFree = -1;  // register owner: not in use
-  static constexpr int kHeld = -2;  // popped: owned by the op being emitted
+  static constexpr int kFree = -1;    // register owner: not in use
+  static constexpr int kHeld = -2;    // popped: owned by the op being emitted
+  static constexpr int kPinned = -3;  // a pinned local's register
+
+  /// The value is in a general / XMM register: its own, or a pinned local's.
+  bool in_gpr(const Val& v) const {
+    return v.loc == Loc::Gpr || (v.loc == Loc::Pin && !pins_[v.idx].xmm);
+  }
+  bool in_xmm(const Val& v) const {
+    return v.loc == Loc::Xmm || (v.loc == Loc::Pin && pins_[v.idx].xmm);
+  }
+  /// Ends an op's hold on a register it read; a pinned local's stays put.
+  void free_gpr(Reg r) {
+    if (gpr_[r] != kPinned) gpr_[r] = kFree;
+  }
+  void free_xmm(std::uint8_t x) {
+    if (xmm_[x] != kPinned) xmm_[x] = kFree;
+  }
 
   Val canonical(int h) const { return {.idx = num_locals_ + static_cast<std::uint32_t>(h)}; }
   bool is_canonical(int h) const {
@@ -355,8 +512,8 @@ class FnCompiler {
   /// Forgets the cache: heights [0, h) are in their canonical slots (after
   /// a flush or a helper call, or at a merge target).
   void reset(int h) {
-    gpr_.fill(kFree);
-    xmm_.fill(kFree);
+    gpr_ = gpr_base_;
+    xmm_ = xmm_base_;
     for (int k = 0; k < h; ++k) vs_[k] = canonical(k);
     sp_ = h;
     flags_h_ = -1;
@@ -386,10 +543,11 @@ class FnCompiler {
   void store_to(const Val& v, std::int32_t disp) {
     switch (v.loc) {
       case Loc::Gpr:
-        e_.store64(RBP, disp, static_cast<Reg>(v.reg));
-        break;
       case Loc::Xmm:
-        if (v.f32) {
+      case Loc::Pin:
+        if (in_gpr(v)) {
+          e_.store64(RBP, disp, static_cast<Reg>(v.reg));
+        } else if (v.f32) {
           e_.movf_store(false, RBP, disp, v.reg);
           e_.store_dword_imm(RBP, disp + 4, 0);  // canonical zero upper half
         } else {
@@ -451,24 +609,79 @@ class FnCompiler {
   }
 
   /// The live aliases of `local` read the value a write is about to
-  /// replace: load them into registers first.
+  /// replace: copy them into registers of their own first.
   void materialize_aliases(std::uint32_t local) {
     for (int k = 0; k < sp_; ++k) {
-      if (vs_[k].loc != Loc::Mem || vs_[k].idx != local) continue;
+      const Val v = vs_[k];
+      if ((v.loc != Loc::Mem && v.loc != Loc::Pin) || v.idx != local) continue;
+      if (in_xmm(v)) {
+        const std::uint8_t x = alloc_xmm();
+        e_.movaps_rr(x, v.reg);
+        vs_[k] = {.loc = Loc::Xmm, .reg = x, .f32 = v.f32};
+        xmm_[x] = k;
+        continue;
+      }
       const Reg r = alloc_gpr();
-      e_.load64(r, RBP, static_cast<std::int32_t>(local * 8));
+      if (v.loc == Loc::Pin)
+        e_.mov_rr(r, static_cast<Reg>(v.reg));
+      else
+        e_.load64(r, RBP, static_cast<std::int32_t>(local * 8));
       vs_[k] = {.loc = Loc::Gpr, .reg = r};
       gpr_[r] = k;
     }
   }
 
-  /// A popped value in a held GPR. Narrow (i32) loads from memory use the
-  /// zero-extending 32-bit form.
+  /// local.set/tee of a pinned local: moves `v` (never Flags: a write
+  /// materialises them first) into the local's register.
+  void write_pin(const Pin& p, const Val& v) {
+    const Reg dst = static_cast<Reg>(p.reg);
+    const std::int32_t disp = static_cast<std::int32_t>(v.idx * 8);
+    if (!p.xmm) {
+      if (v.loc == Loc::Const)
+        e_.mov_imm(dst, v.imm);
+      else if (v.loc == Loc::Mem)
+        e_.load64(dst, RBP, disp);
+      else if (in_xmm(v))
+        e_.mov_rx(dst, v.reg, !v.f32);
+      else
+        e_.mov_rr(dst, static_cast<Reg>(v.reg));
+      return;
+    }
+    const bool f64 = !p.f32;
+    if (v.loc == Loc::Const) {
+      if (v.imm == 0) {
+        e_.xorps_rr(p.reg, p.reg);
+      } else {
+        e_.mov_imm(RAX, v.imm);
+        e_.mov_xr(p.reg, RAX, f64);
+      }
+    } else if (v.loc == Loc::Mem) {
+      e_.movf_load(f64, p.reg, RBP, disp);
+    } else if (in_gpr(v)) {
+      e_.mov_xr(p.reg, static_cast<Reg>(v.reg), f64);
+    } else if (v.f32 && f64) {  // f32 bits widened to an f64 local
+      e_.mov_rx(RAX, v.reg, false);
+      e_.mov_xr(p.reg, RAX, true);
+    } else {
+      e_.movaps_rr(p.reg, v.reg);
+    }
+  }
+
+  /// A popped value in a held GPR the op may overwrite. Narrow (i32) loads
+  /// from memory use the zero-extending 32-bit form; a pinned local is
+  /// copied.
   Reg to_gpr(const Val& v, bool wide) {
     Reg r;
     switch (v.loc) {
       case Loc::Gpr:
         return static_cast<Reg>(v.reg);
+      case Loc::Pin:
+        r = alloc_gpr();
+        if (pins_[v.idx].xmm)
+          e_.mov_rx(r, v.reg, !v.f32);
+        else
+          e_.mov_rr(r, static_cast<Reg>(v.reg), wide);
+        return r;
       case Loc::Mem:
         r = alloc_gpr();
         if (wide)
@@ -503,6 +716,11 @@ class FnCompiler {
         if (!v.f32 || !f64) return v.reg;
         [[fallthrough]];
       default: {
+        if (v.loc == Loc::Pin && pins_[v.idx].xmm && (!v.f32 || !f64)) {
+          x = alloc_xmm();
+          e_.movaps_rr(x, v.reg);
+          return x;
+        }
         const Reg r = to_gpr(v, f64);
         x = alloc_xmm();
         e_.mov_xr(x, r, f64);
@@ -525,6 +743,36 @@ class FnCompiler {
     }
   }
 
+  /// True when `v` aliases a pinned local that the next op (a local.set or
+  /// tee of it, not behind a merge) overwrites with this op's result:
+  /// `x = x OP y` then computes in x's register, and the write finds its
+  /// own alias on top and emits nothing.
+  bool result_goes_to(const Val& v) const {
+    if (v.loc != Loc::Pin) return false;
+    const std::size_t next = pc_ + 1;
+    if (next >= func_.code.size() || is_target_[next]) return false;
+    const Instr& ins = func_.code[next];
+    return (ins.op == kLocalSet || ins.op == kLocalTee) && ins.a == v.idx;
+  }
+  /// That local's register as the op's destination; its other live
+  /// aliases are copied out first.
+  std::uint8_t claim_pin(const Val& v) {
+    materialize_aliases(v.idx);
+    return v.reg;
+  }
+
+  /// A popped value's register for an operand the op only reads: a pinned
+  /// local's own register in place, else to_gpr / to_xmm. Release with
+  /// free_gpr / free_xmm.
+  Reg read_gpr(const Val& v, bool wide) {
+    if (v.loc == Loc::Pin && !pins_[v.idx].xmm) return static_cast<Reg>(v.reg);
+    return to_gpr(v, wide);
+  }
+  std::uint8_t read_xmm(const Val& v, bool f64) {
+    if (v.loc == Loc::Pin && pins_[v.idx].xmm && (!v.f32 || !f64)) return v.reg;
+    return to_xmm(v, f64);
+  }
+
   /// Right-hand operand of an integer ALU op: register, frame slot or imm32.
   struct Opnd {
     enum Kind : std::uint8_t { R, M, I } k;
@@ -535,10 +783,10 @@ class FnCompiler {
     if (v.loc == Loc::Mem) return {Opnd::M, RAX, static_cast<std::int32_t>(v.idx * 8)};
     if (v.loc == Loc::Const && (!wide || fits_simm32(v.imm)))
       return {Opnd::I, RAX, static_cast<std::int32_t>(static_cast<std::uint32_t>(v.imm))};
-    return {Opnd::R, to_gpr(v, wide), 0};
+    return {Opnd::R, read_gpr(v, wide), 0};
   }
   void release(const Opnd& o) {
-    if (o.k == Opnd::R) gpr_[o.r] = kFree;
+    if (o.k == Opnd::R) free_gpr(o.r);
   }
   /// dst = dst OP o. ext: add 0, or 1, and 4, sub 5, xor 6, cmp 7.
   void alu(std::uint8_t ext, Reg dst, const Opnd& o, bool wide) {
@@ -561,9 +809,9 @@ class FnCompiler {
     if (c.loc == Loc::Mem) {
       e_.alu_mi(7, RBP, static_cast<std::int32_t>(c.idx * 8), 0, false);
     } else {
-      const Reg r = to_gpr(c, false);
+      const Reg r = read_gpr(c, false);
       e_.test_rr(r, r, false);
-      gpr_[r] = kFree;
+      free_gpr(r);
     }
     return {CC_NE, 0};
   }
@@ -658,11 +906,13 @@ class FnCompiler {
   template <typename Fn>
   void helper_op(Fn* fn, int h, std::int64_t arg, int delta) {
     flush_all();
+    save_pinned_locals();
     spill_sp(h);
     e_.mov_rr(RDI, R15);
     if (arg >= 0) e_.mov_ri32(RSI, static_cast<std::uint32_t>(arg));
     call_helper(fn);
     reload_pinned();
+    reload_pinned_locals();
     trap_check();
     reset(h + delta);
   }
@@ -706,16 +956,33 @@ class FnCompiler {
     call_helper(&jit_helper_grow_stack);
     e_.patch_rel32(fits, e_.size());
     reload_pinned();
-    // Zero the non-parameter locals.
-    const std::uint32_t zeros = num_locals_ - func_.num_params;
-    if (zeros <= 8) {
+    // Zero the non-parameter locals (a pinned one's slot is written before
+    // it is ever read: by the save before a call).
+    std::uint32_t slot_zeros = 0;
+    for (std::uint32_t i = func_.num_params; i < num_locals_; ++i)
+      slot_zeros += pins_[i].on ? 0 : 1;
+    if (slot_zeros <= 8) {
       for (std::uint32_t i = func_.num_params; i < num_locals_; ++i)
-        e_.store_imm32(RBP, local_disp(i), 0);
+        if (!pins_[i].on) e_.store_imm32(RBP, local_disp(i), 0);
     } else {
       e_.mov_ri32(RAX, 0);
       e_.lea_disp(RDI, RBP, local_disp(func_.num_params));
-      e_.mov_ri32(RCX, zeros);
+      e_.mov_ri32(RCX, num_locals_ - func_.num_params);
       e_.rep_stosq();
+    }
+    // Pinned locals: parameters from their slots, the rest zeroed.
+    for (std::uint32_t i = 0; i < num_locals_; ++i) {
+      const Pin& p = pins_[i];
+      if (!p.on) continue;
+      const bool param = i < func_.num_params;
+      if (p.xmm && param)
+        e_.movf_load(!p.f32, p.reg, RBP, local_disp(i));
+      else if (p.xmm)
+        e_.xorps_rr(p.reg, p.reg);
+      else if (param)
+        e_.load64(static_cast<Reg>(p.reg), RBP, local_disp(i));
+      else
+        e_.xor_rr(static_cast<Reg>(p.reg), static_cast<Reg>(p.reg), false);
     }
   }
 
@@ -737,6 +1004,7 @@ class FnCompiler {
         reachable = true;
       }
       offsets_[pc] = e_.size();
+      pc_ = pc;
       const Instr& ins = code[pc];
       if (sp_ != height_[pc]) return refuse(ins.op);  // codegen/prescan drift
       if (flags_h_ >= 0 && !keeps_flags(ins)) materialize_flags();
@@ -804,14 +1072,17 @@ class FnCompiler {
       }
       case kBrTable: {
         flush_all();
+        save_pinned_locals();
         spill_sp(h);
         e_.mov_rr(RDI, R15);
         e_.mov_ri64(RSI, reinterpret_cast<std::uint64_t>(&func_.tables[ins.a]));
         e_.mov_ri32(RDX, static_cast<std::uint32_t>(ins.imm));
         call_helper(&jit_helper_br_table);
         // rax = target pc. The helper only memmoves within the stack, so
-        // the pinned registers stay valid — dispatch straight through the
-        // appended pc->offset table (position-independent via rip).
+        // rbp/r13/r14 stay valid — reload the pinned locals and dispatch
+        // straight through the appended pc->offset table
+        // (position-independent via rip).
+        reload_pinned_locals();
         const std::size_t table_at = e_.lea_rip(RCX);
         e_.load32_scaled4(RDX, RCX, RAX);
         const std::size_t base_at = e_.lea_rip(RCX);
@@ -849,24 +1120,38 @@ class FnCompiler {
         emit_select();
         return true;
 
-      case kLocalGet:  // alias: consumers read the local's slot
-        push({.idx = ins.a});
-        return true;
-      case kLocalSet: {
-        Val v = pop();
-        if (v.loc == Loc::Mem && v.idx == ins.a) return true;
-        materialize_aliases(ins.a);
-        store_to(v, local_disp(ins.a));
-        release(v);
+      case kLocalGet: {  // alias: consumers read the local's register or slot
+        const Pin& p = pins_[ins.a];
+        if (p.on)
+          push({.loc = Loc::Pin, .reg = p.reg, .f32 = p.f32, .idx = ins.a});
+        else
+          push({.idx = ins.a});
         return true;
       }
+      case kLocalSet:
       case kLocalTee: {
-        if (vs_[sp_ - 1].loc == Loc::Mem && vs_[sp_ - 1].idx == ins.a) return true;
+        const Val top = vs_[sp_ - 1];
+        if ((top.loc == Loc::Mem || top.loc == Loc::Pin) && top.idx == ins.a) {
+          if (ins.op == kLocalSet) pop();
+          return true;
+        }
         Val v = pop();
         materialize_aliases(ins.a);
-        if (v.loc == Loc::Mem) v = {.loc = Loc::Gpr, .reg = to_gpr(v, true)};
+        const Pin& p = pins_[ins.a];
+        if (p.on) {
+          write_pin(p, v);
+          release(v);
+          if (ins.op == kLocalTee)
+            push({.loc = Loc::Pin, .reg = p.reg, .f32 = p.f32, .idx = ins.a});
+          return true;
+        }
+        if (ins.op == kLocalTee && v.loc == Loc::Mem)
+          v = {.loc = Loc::Gpr, .reg = to_gpr(v, true)};
         store_to(v, local_disp(ins.a));
-        push(v);
+        if (ins.op == kLocalTee)
+          push(v);
+        else
+          release(v);
         return true;
       }
       case kGlobalGet: {
@@ -878,10 +1163,10 @@ class FnCompiler {
       }
       case kGlobalSet: {
         const Val v = pop();
-        const Reg r = to_gpr(v, true);
+        const Reg r = read_gpr(v, true);
         e_.load64(RAX, R15, kCtxGlobals);
         e_.store64(RAX, static_cast<std::int32_t>(ins.a * 16 + 8), r);
-        gpr_[r] = kFree;
+        free_gpr(r);
         return true;
       }
 
@@ -921,6 +1206,7 @@ class FnCompiler {
     const int params = static_cast<int>(type.params.size());
     const int results = static_cast<int>(type.results.size());
     flush_all();
+    save_pinned_locals();
     const std::uint32_t imports = module_.num_imported_funcs();
     std::size_t join = 0;
     const bool direct = ins.a >= imports;
@@ -949,6 +1235,7 @@ class FnCompiler {
     call_helper(&jit_helper_call);
     if (direct) e_.patch_rel32(join, e_.size());
     reload_pinned();
+    reload_pinned_locals();
     trap_check();
     reset(h - params + results);
   }
@@ -960,11 +1247,11 @@ class FnCompiler {
     const Val v1 = pop();
     const bool live = c.loc == Loc::Flags && c.fl.parity == 0;
     Reg rc = RAX;
-    if (!live && c.loc != Loc::Mem) rc = to_gpr(c, false);
+    if (!live && c.loc != Loc::Mem) rc = read_gpr(c, false);
     // Loading the arms emits only moves: live flags survive.
     const Reg r1 = to_gpr(v1, true);
-    const Opnd o2 = v2.loc == Loc::Mem ? operand(v2, true)
-                                       : Opnd{Opnd::R, to_gpr(v2, true), 0};
+    const Opnd o2 = v2.loc == Loc::Const ? Opnd{Opnd::R, to_gpr(v2, true), 0}
+                                         : operand(v2, true);
     Flag f = c.fl;
     if (!live) {
       if (c.loc == Loc::Mem)
@@ -972,7 +1259,7 @@ class FnCompiler {
       else
         e_.test_rr(rc, rc, false);
       f = {CC_NE, 0};
-      if (c.loc != Loc::Mem) gpr_[rc] = kFree;
+      if (c.loc != Loc::Mem) free_gpr(rc);
     }
     const Cond take_v2 = negate(f).cc;
     if (o2.k == Opnd::M)
@@ -984,32 +1271,37 @@ class FnCompiler {
   }
 
   /// div/rem with the wasm trap/edge semantics (divide-by-zero trap,
-  /// INT_MIN/-1 overflow trap for div_s, INT_MIN%-1 == 0 for rem_s).
+  /// INT_MIN/-1 overflow trap for div_s, INT_MIN%-1 == 0 for rem_s). A
+  /// constant divisor drops the guards it cannot trip: the zero test when it
+  /// is non-zero, the -1 checks when it is not -1; rem_s by -1 folds to 0.
   void emit_div(bool wide, bool is_signed, bool is_rem) {
     const Val b = pop();
     const Val a = pop();
+    const bool known = b.loc == Loc::Const;
+    const std::uint64_t d = wide ? b.imm : static_cast<std::uint32_t>(b.imm);
+    const bool minus_one = is_signed && d == (wide ? ~0ull : 0xffffffffull);
+    const bool may_be_zero = !known || d == 0;
+    const bool may_be_minus_one = !known || minus_one;
+    if (known && minus_one && is_rem) {
+      release(a);
+      push({.loc = Loc::Const, .imm = 0});
+      return;
+    }
     const Reg ra = to_gpr(a, wide);
-    const Reg rb = to_gpr(b, wide);
+    const Reg rb = read_gpr(b, wide);
     e_.mov_rr(RAX, ra, wide);
-    e_.test_rr(rb, rb, wide);
-    trap_sites_[kTrapDivZero].push_back(e_.jcc(CC_E));
+    if (may_be_zero) {
+      e_.test_rr(rb, rb, wide);
+      trap_sites_[kTrapDivZero].push_back(e_.jcc(CC_E));
+    }
     Reg result = RAX;
     if (is_signed) {
-      if (is_rem) {
+      std::size_t zero_site = 0;
+      if (is_rem && may_be_minus_one) {
         // divisor == -1 => remainder 0 (also sidesteps the INT_MIN idiv #DE)
         e_.cmp_ri(rb, -1, wide);
-        const std::size_t zero_site = e_.jcc(CC_E);
-        if (wide)
-          e_.cqo();
-        else
-          e_.cdq();
-        e_.idiv(rb, wide);
-        const std::size_t done_site = e_.jmp();
-        e_.patch_rel32(zero_site, e_.size());
-        e_.xor_rr(RDX, RDX, false);
-        e_.patch_rel32(done_site, e_.size());
-        result = RDX;
-      } else {
+        zero_site = e_.jcc(CC_E);
+      } else if (may_be_minus_one) {
         if (wide) {
           e_.mov_ri64(RDX, 0x8000000000000000ull);
           e_.cmp_rr(RAX, RDX, true);
@@ -1020,11 +1312,20 @@ class FnCompiler {
         e_.cmp_ri(rb, -1, wide);
         trap_sites_[kTrapOverflow].push_back(e_.jcc(CC_E));
         e_.patch_rel32(ok_site, e_.size());
-        if (wide)
-          e_.cqo();
-        else
-          e_.cdq();
-        e_.idiv(rb, wide);
+      }
+      if (wide)
+        e_.cqo();
+      else
+        e_.cdq();
+      e_.idiv(rb, wide);
+      if (is_rem) {
+        result = RDX;
+        if (may_be_minus_one) {
+          const std::size_t done_site = e_.jmp();
+          e_.patch_rel32(zero_site, e_.size());
+          e_.xor_rr(RDX, RDX, false);
+          e_.patch_rel32(done_site, e_.size());
+        }
       }
     } else {
       e_.xor_rr(RDX, RDX, false);
@@ -1032,7 +1333,7 @@ class FnCompiler {
       if (is_rem) result = RDX;
     }
     e_.mov_rr(ra, result, wide);
-    gpr_[rb] = kFree;
+    free_gpr(rb);
     push_gpr(ra);
   }
 
@@ -1051,15 +1352,15 @@ class FnCompiler {
                     {false, {CC_A, 0}}, {true, {CC_AE, 0}}, {false, {CC_AE, 0}}};
     const Val b = pop();
     const Val a = pop();
-    const std::uint8_t xa = to_xmm(a, f64);
-    const std::uint8_t xb = to_xmm(b, f64);
+    const std::uint8_t xa = read_xmm(a, f64);
+    const std::uint8_t xb = read_xmm(b, f64);
     const auto& shape = kShapes[rel];
     if (shape.swap)
       e_.ucomis_rr(f64, xb, xa);
     else
       e_.ucomis_rr(f64, xa, xb);
-    xmm_[xa] = kFree;
-    xmm_[xb] = kFree;
+    free_xmm(xa);
+    free_xmm(xb);
     push_flags(shape.f);
   }
 
@@ -1071,7 +1372,7 @@ class FnCompiler {
     const Val b = pop();
     const Val a = pop();
     const std::uint8_t xa = to_xmm(a, f64);
-    const std::uint8_t xb = to_xmm(b, f64);
+    const std::uint8_t xb = read_xmm(b, f64);
     e_.ucomis_rr(f64, xa, xb);
     const std::size_t nan_site = e_.jcc(CC_P);
     const std::size_t eq_site = e_.jcc(CC_E);
@@ -1095,7 +1396,7 @@ class FnCompiler {
     e_.patch_rel32(keep_site, e_.size());
     e_.patch_rel32(done1, e_.size());
     e_.patch_rel32(done2, e_.size());
-    xmm_[xb] = kFree;
+    free_xmm(xb);
     push_xmm(xa, f64);
   }
 
@@ -1105,7 +1406,7 @@ class FnCompiler {
   /// so all tiers agree bit-for-bit.
   void emit_convert_u64(bool f64) {
     const Val a = pop();
-    const Reg r = to_gpr(a, true);
+    const Reg r = read_gpr(a, true);
     const std::uint8_t x = alloc_xmm();
     e_.test_rr(r, r, true);
     const std::size_t big = e_.jcc(CC_S);
@@ -1120,7 +1421,7 @@ class FnCompiler {
     e_.cvt_i2f(f64, true, x, RAX);
     e_.sse_arith_rr(f64, 0x58, x, x);  // x2
     e_.patch_rel32(done, e_.size());
-    gpr_[r] = kFree;
+    free_gpr(r);
     push_xmm(x, f64);
   }
 
@@ -1138,12 +1439,12 @@ class FnCompiler {
     const bool uns = op == kI32TruncF32U || op == kI32TruncF64U ||
                      op == kI64TruncF32U || op == kI64TruncF64U;
     const Val a = pop();
-    const std::uint8_t x = to_xmm(a, src_f64);
+    const std::uint8_t x = read_xmm(a, src_f64);
     if (src_f64)
       e_.movaps_rr(0, x);
     else
       e_.cvtss2sd(0, x);
-    xmm_[x] = kFree;
+    free_xmm(x);
     const Reg r = alloc_gpr();
     e_.store_imm32(R15, kCtxTrapAux, op);  // trap_aux = opcode, for the message
     e_.ucomis_rr(true, 0, 0);              // NaN is the only unordered-with-self
@@ -1225,16 +1526,19 @@ class FnCompiler {
       };
       const Shape s = kLoads[op - kI32Load];
       const bool to_xmm_reg = op == kF32Load || op == kF64Load;
-      const Reg ra = to_gpr(pop(), false);
+      const Reg ra = read_gpr(pop(), false);
       const std::uint8_t x = to_xmm_reg ? alloc_xmm() : 0;
+      // An integer load lands in the address register unless that is a
+      // pinned local's.
+      const Reg rd = !to_xmm_reg && gpr_[ra] == kPinned ? alloc_gpr() : ra;
       const auto [index, disp] = emit_addr(ra, ins.imm, 1u << s.width_log2);
       if (to_xmm_reg) {  // floats load straight into an XMM register
         e_.sse_rmi(op == kF64Load ? 0xF2 : 0xF3, 0x10, x, R13, index, disp);
-        gpr_[ra] = kFree;
+        free_gpr(ra);
         push_xmm(x, op == kF64Load);
       } else {
-        e_.load_mem_extend(ra, R13, index, disp, s.width_log2, s.sign, s.wide);
-        push_gpr(ra);
+        e_.load_mem_extend(rd, R13, index, disp, s.width_log2, s.sign, s.wide);
+        push_gpr(rd);
       }
       return true;
     }
@@ -1254,17 +1558,17 @@ class FnCompiler {
       const std::uint8_t w = kStoreWidthLog2[op - kI32Store];
       const Val v = pop();
       const Val a = pop();
-      const bool from_xmm = v.loc == Loc::Xmm && (op == kF32Store || (op == kF64Store && !v.f32));
-      const Reg rv = from_xmm ? RAX : to_gpr(v, w == 3);
-      const Reg ra = to_gpr(a, false);
+      const bool from_xmm = in_xmm(v) && (op == kF32Store || (op == kF64Store && !v.f32));
+      const Reg rv = from_xmm ? RAX : read_gpr(v, w == 3);
+      const Reg ra = read_gpr(a, false);
       const auto [index, disp] = emit_addr(ra, ins.imm, 1u << w);
       if (from_xmm)
         e_.sse_rmi(op == kF64Store ? 0xF2 : 0xF3, 0x11, v.reg, R13, index, disp);
       else
         e_.store_mem(R13, index, disp, w, rv);
       release(v);
-      if (!from_xmm) gpr_[rv] = kFree;
-      gpr_[ra] = kFree;
+      if (!from_xmm) free_gpr(rv);
+      free_gpr(ra);
       return true;
     }
 
@@ -1279,9 +1583,9 @@ class FnCompiler {
         if (a.loc == Loc::Mem) {
           e_.alu_mi(7, RBP, static_cast<std::int32_t>(a.idx * 8), 0, wide);
         } else {
-          const Reg r = to_gpr(a, wide);
+          const Reg r = read_gpr(a, wide);
           e_.test_rr(r, r, wide);
-          gpr_[r] = kFree;
+          free_gpr(r);
         }
         push_flags({CC_E, 0});
         return true;
@@ -1300,9 +1604,9 @@ class FnCompiler {
         else
           e_.alu_mr(0x39, RBP, disp, ob.r, wide);
       } else {
-        const Reg ra = to_gpr(a, wide);
+        const Reg ra = read_gpr(a, wide);
         alu(7, ra, ob, wide);
-        gpr_[ra] = kFree;
+        free_gpr(ra);
       }
       release(ob);
       push_flags({*cc, 0});
@@ -1331,7 +1635,8 @@ class FnCompiler {
         // shl / shr_s / shr_u / rotl / rotr — x86 masks the count exactly
         // as wasm requires (&31 / &63).
         static constexpr std::uint8_t kShiftExt[5] = {4, 7, 5, 0, 1};
-        const Reg ra = to_gpr(a, wide);
+        const bool in_place = result_goes_to(a);
+        const Reg ra = in_place ? static_cast<Reg>(claim_pin(a)) : to_gpr(a, wide);
         if (b.loc == Loc::Const) {
           e_.shift_ri(kShiftExt[rel - 10], ra,
                       static_cast<std::uint8_t>(b.imm & (wide ? 63 : 31)), wide);
@@ -1344,12 +1649,16 @@ class FnCompiler {
           release(ob);
           e_.shift_cl(kShiftExt[rel - 10], ra, wide);
         }
-        push_gpr(ra);
+        in_place ? push(a) : push_gpr(ra);
         return true;
       }
-      // Commutative ops reuse whichever operand is already in a register.
-      if (rel != 1 && a.loc != Loc::Gpr && b.loc == Loc::Gpr) std::swap(a, b);
-      const Reg ra = to_gpr(a, wide);
+      // Commutative ops reuse whichever operand is already in a register,
+      // or the pinned local the result is written back to.
+      if (rel != 1 && !result_goes_to(a) &&
+          (result_goes_to(b) || (a.loc != Loc::Gpr && b.loc == Loc::Gpr)))
+        std::swap(a, b);
+      const bool in_place = result_goes_to(a);
+      const Reg ra = in_place ? static_cast<Reg>(claim_pin(a)) : to_gpr(a, wide);
       const Opnd ob = operand(b, wide);
       if (rel == 2) {
         const std::uint64_t m = static_cast<std::uint32_t>(ob.v);
@@ -1366,7 +1675,7 @@ class FnCompiler {
         alu(kExt[rel], ra, ob, wide);
       }
       release(ob);
-      push_gpr(ra);
+      in_place ? push(a) : push_gpr(ra);
       return true;
     }
 
@@ -1418,15 +1727,16 @@ class FnCompiler {
         // Operand order is the interpreter's (a OP b): with two NaNs the
         // result carries a's payload on both.
         static constexpr std::uint8_t kOpc[4] = {0x58, 0x5C, 0x59, 0x5E};
-        const std::uint8_t x = to_xmm(a, f64);
+        const bool in_place = result_goes_to(a);
+        const std::uint8_t x = in_place ? claim_pin(a) : to_xmm(a, f64);
         if (b.loc == Loc::Mem) {
           e_.sse_arith_rm(f64, kOpc[rel], x, RBP, static_cast<std::int32_t>(b.idx * 8));
         } else {
-          const std::uint8_t xb = to_xmm(b, f64);
+          const std::uint8_t xb = read_xmm(b, f64);
           e_.sse_arith_rr(f64, kOpc[rel], x, xb);
-          xmm_[xb] = kFree;
+          free_xmm(xb);
         }
-        push_xmm(x, f64);
+        in_place ? push(a) : push_xmm(x, f64);
         return true;
       }
       // copysign: (a & ~signbit) | (b & signbit) in GPRs.
@@ -1495,10 +1805,10 @@ class FnCompiler {
         // i32 unsigned: the zero-extended value converts exactly as i64.
         const bool wide_cvt = op != kF64ConvertI32S && op != kF32ConvertI32S;
         const Val a = pop();
-        const Reg r = to_gpr(a, src64);
+        const Reg r = read_gpr(a, src64);
         const std::uint8_t x = alloc_xmm();
         e_.cvt_i2f(f64, wide_cvt, x, r);
-        gpr_[r] = kFree;
+        free_gpr(r);
         push_xmm(x, f64);
         return true;
       }
@@ -1594,10 +1904,18 @@ class FnCompiler {
   std::vector<int> height_;         // operand height at each pc
   std::vector<std::uint8_t> is_target_;
   std::vector<std::uint8_t> dead_;  // unreachable pcs: emitted as nothing
+  std::vector<std::uint32_t> loop_end_;  // loop header pc -> last backward branch + 1
   std::vector<std::size_t> offsets_;  // emitted offset of each pc
+
+  std::vector<ValType> local_types_;      // params, then declared locals
+  std::vector<Pin> pins_;                 // per local
+  std::vector<std::uint32_t> caller_saved_;  // pinned locals saved around calls
+  std::array<int, 16> gpr_base_{};        // kFree, or kPinned for a local's register
+  std::array<int, 16> xmm_base_{};
 
   std::vector<Val> vs_;             // the abstract value stack
   int sp_ = 0;                      // its height
+  std::size_t pc_ = 0;              // pc being emitted
   int flags_h_ = -1;                // height of the live Flags entry
   std::array<int, 16> gpr_{};       // register -> owner height / kFree / kHeld
   std::array<int, 16> xmm_{};
@@ -1619,10 +1937,10 @@ class FnCompiler {
 
 }  // namespace
 
-std::vector<std::uint8_t> compile_function(const Module& module,
+std::vector<std::uint8_t> compile_function(const Module& module, std::uint32_t func_index,
                                            const CompiledFunc& func,
                                            std::uint16_t* refused_op) {
-  FnCompiler compiler(module, func);
+  FnCompiler compiler(module, func_index, func);
   if (!compiler.run()) {
     if (refused_op) *refused_op = compiler.refused();
     return {};

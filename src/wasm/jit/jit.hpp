@@ -16,7 +16,9 @@
 // caches the stack in registers on top of that: an operand lives in a GPR
 // or XMM register, is a folded constant, aliases a local's slot, or is a
 // compare still in EFLAGS feeding a jcc/cmov; it is spilled to its slot
-// only when a register pool runs dry. Locals stay in their slots. Before
+// only when a register pool runs dry. The hottest locals are pinned, each
+// to one register for the whole function (the rest stay in their slots);
+// the caller-saved ones are stored to their slots around every call. Before
 // every branch, merge point, return, helper call and native call the cache
 // is flushed to the canonical slot layout, so the dynamic sp only
 // materialises at callout boundaries and every path into a merge sees the
@@ -137,15 +139,16 @@ class ExecutableImage {
   std::size_t map_bytes_;
 };
 
-/// Lowers one validated AOT-stream function to x86-64. Returns the
-/// position-independent code bytes (entry at offset 0), or an empty vector
-/// when the function uses a shape the baseline refuses (multi-value
+/// Lowers one validated AOT-stream function (module-defined function
+/// `func_index`, whose local types come from `module`) to x86-64. Returns
+/// the position-independent code bytes (entry at offset 0), or an empty
+/// vector when the function uses a shape the baseline refuses (multi-value
 /// branches, inconsistent static heights) — the caller keeps that function
 /// on the AOT stream forever. On refusal, `refused_op` (when non-null)
 /// receives the opcode that stopped lowering (0xffff for structural
 /// refusals with no single opcode to blame) so coverage regressions are
 /// debuggable instead of silent.
-std::vector<std::uint8_t> compile_function(const Module& module,
+std::vector<std::uint8_t> compile_function(const Module& module, std::uint32_t func_index,
                                            const CompiledFunc& func,
                                            std::uint16_t* refused_op = nullptr);
 

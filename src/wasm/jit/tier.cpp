@@ -63,7 +63,7 @@ bool TierSet::compile_one(std::uint32_t index) {
   const std::uint64_t start_ns = hw::monotonic_ns();
   std::uint16_t refused_op = 0xffff;
   std::vector<std::uint8_t> code =
-      compile_function(*module_, compiled_[index], &refused_op);
+      compile_function(*module_, index, compiled_[index], &refused_op);
   if (code.empty()) {  // shape the baseline refuses: stays on the AOT stream
     f.failed.store(true, std::memory_order_relaxed);
     refused_functions_.fetch_add(1, std::memory_order_relaxed);

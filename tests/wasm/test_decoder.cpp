@@ -350,7 +350,8 @@ TEST(Validator, MutatedBodiesYieldStatusOrStream) {
       continue;
     }
     ++accepted;
-    for (const CompiledFunc& func : *stream) (void)jit::compile_function(mod, func);
+    for (std::uint32_t f = 0; f < stream->size(); ++f)
+      (void)jit::compile_function(mod, f, (*stream)[f]);
   }
   std::printf("%d of %d mutants accepted\n", accepted, kMutants);
 }

@@ -868,6 +868,258 @@ TEST(JitCodegen, HostCallFromNativeFrame) {
 }
 
 // ---------------------------------------------------------------------------
+// Constant divisors and pinned locals.
+
+std::unique_ptr<Instance> instantiate_interp(const Bytes& bin) {
+  auto mod = decode_module(bin);
+  EXPECT_TRUE(mod.ok()) << mod.error();
+  if (!mod.ok()) return nullptr;
+  auto inst = Instance::instantiate(std::move(*mod), no_imports(), ExecMode::Interp);
+  EXPECT_TRUE(inst.ok()) << inst.error();
+  return inst.ok() ? std::move(*inst) : nullptr;
+}
+
+TEST(JitCodegen, ConstantDivisorsMatchInterpreter) {
+  // One function per (width, op, constant divisor): x OP c. The native tier
+  // drops the guards a constant cannot trip, folds rem_s by -1 to 0 and
+  // still traps on a constant 0 with the canonical message.
+  struct Case {
+    std::string name;
+    bool wide;
+  };
+  std::vector<Case> cases;
+  ModuleBuilder mb;
+  static const Op k32[] = {kI32DivS, kI32DivU, kI32RemS, kI32RemU};
+  static const Op k64[] = {kI64DivS, kI64DivU, kI64RemS, kI64RemU};
+  static const std::int64_t kDivisors[] = {0, 1, -1, 7, INT64_MIN};
+  for (const bool wide : {false, true}) {
+    const ValType vt = wide ? ValType::I64 : ValType::I32;
+    for (int o = 0; o < 4; ++o) {
+      for (const std::int64_t d : kDivisors) {
+        auto f = mb.add_function(sig({vt}, {vt}));
+        CodeEmitter ce;
+        ce.local_get(0);
+        if (wide)
+          ce.i64_const(d);
+        else  // INT64_MIN stands for INT32_MIN at 32 bits
+          ce.i32_const(d == INT64_MIN ? INT32_MIN : static_cast<std::int32_t>(d));
+        ce.op(wide ? k64[o] : k32[o]);
+        mb.set_body(f, ce.bytes());
+        const std::string name = std::string(wide ? "w" : "n") + std::to_string(o) + "_" +
+                                 std::to_string(d);
+        mb.export_function(name, f);
+        cases.push_back({name, wide});
+      }
+    }
+  }
+  const Bytes bin = mb.build();
+  Tiered t = make_tiered(bin);
+  auto interp = instantiate_interp(bin);
+  ASSERT_TRUE(interp);
+  static const std::int64_t kDividends[] = {0, 1, -1, 7, -7, 100, INT32_MIN, INT32_MAX,
+                                            INT64_MIN, INT64_MAX};
+  int traps = 0;
+  for (const Case& c : cases) {
+    for (const std::int64_t x : kDividends) {
+      const std::vector<Value> args{c.wide ? Value::from_i64(x)
+                                           : Value::from_i32(static_cast<std::int32_t>(x))};
+      check_both(t, c.name, args);
+      auto want = interp->invoke(c.name, args);
+      auto got = t.nat->invoke(c.name, args);
+      ASSERT_EQ(want.ok(), got.ok()) << c.name << " x=" << x;
+      if (!want.ok()) {
+        EXPECT_EQ(want.error(), got.error()) << c.name << " x=" << x;
+        ++traps;
+        continue;
+      }
+      EXPECT_EQ((*want)[0].bits, (*got)[0].bits) << c.name << " x=" << x;
+    }
+  }
+  // Division by 0 always traps; div_s INT_MIN / -1 overflows (both widths).
+  EXPECT_EQ(traps, 2 * 4 * 10 + 2);
+  EXPECT_EQ(trap_of(*t.nat, "n0_0", {Value::from_i32(5)}), "trap: integer divide by zero");
+  EXPECT_EQ(trap_of(*t.nat, "w0_-1", {Value::from_i64(INT64_MIN)}), "trap: integer overflow");
+}
+
+/// f(n, m, a, b, x) recurses n deep with 24 padding locals per frame, so
+/// the chain grows the operand stack in callee prologues. All five
+/// parameters are hot enough to pin, so some land in caller-saved
+/// registers: they must be loaded after the growth check, whose helper
+/// call clobbers those registers (and may move the stack).
+TEST(JitCodegen, PinnedParamsLoadAfterStackGrowth) {
+  ModuleBuilder mb;
+  std::vector<ValType> pad(24, ValType::I64);
+  auto f = mb.add_function(
+      sig({ValType::I64, ValType::I64, ValType::I64, ValType::I64, ValType::F64}, {ValType::I64}),
+      pad);
+  CodeEmitter ce;
+  ce.local_get(0).op(kI64Eqz);
+  ce.if_(0x7e);
+  ce.local_get(1).local_get(2).op(kI64Xor).local_get(3).op(kI64Add);
+  ce.local_get(4).op(kI64ReinterpretF64).op(kI64Add);
+  ce.else_();
+  ce.local_get(0).local_get(1).op(kI64Mul).local_get(2).op(kI64Add).local_get(3).op(kI64Sub);
+  ce.local_get(0).i64_const(1).op(kI64Sub);
+  ce.local_get(1).i64_const(1).op(kI64Add);
+  ce.local_get(2).local_get(0).op(kI64Add);
+  ce.local_get(3).local_get(0).op(kI64Xor);
+  ce.local_get(4).f64_const(0.5).op(kF64Add);
+  ce.call(f).op(kI64Add);
+  ce.end();
+  mb.set_body(f, ce.bytes());
+  mb.export_function("f", f);
+
+  Tiered t = make_tiered(mb.build());
+  for (const std::int64_t n : {0, 1, 10, 300, 500}) {
+    check_both(t, "f", {Value::from_i64(n), Value::from_i64(3), Value::from_i64(-7),
+                        Value::from_i64(0x5555), Value::from_f64(1.25)});
+  }
+}
+
+TEST(JitCodegen, PinnedLocalAliasKeepsOldValue) {
+  ModuleBuilder mb;
+  // local.get 0; i32.const 1; local.set 0 leaves the OLD value on the stack.
+  auto f = mb.add_function(sig({ValType::I32}, {ValType::I32}));
+  {
+    CodeEmitter ce;
+    ce.local_get(0).i32_const(1).local_set(0);
+    mb.set_body(f, ce.bytes());
+  }
+  mb.export_function("set", f);
+  // old + new through a tee: x; (x = x * 3) -> x + 3x.
+  auto g = mb.add_function(sig({ValType::I32}, {ValType::I32}));
+  {
+    CodeEmitter ce;
+    ce.local_get(0).local_get(0).i32_const(3).op(kI32Mul).local_tee(0).op(kI32Add);
+    ce.local_get(0).op(kI32Add);
+    mb.set_body(g, ce.bytes());
+  }
+  mb.export_function("tee", g);
+  // The same on an f64 local (XMM pin): x; (x = x + 1.5) -> x - (x + 1.5).
+  auto h = mb.add_function(sig({ValType::F64}, {ValType::F64}));
+  {
+    CodeEmitter ce;
+    ce.local_get(0).local_get(0).f64_const(1.5).op(kF64Add).local_set(0);
+    ce.local_get(0).op(kF64Sub);
+    mb.set_body(h, ce.bytes());
+  }
+  mb.export_function("fset", h);
+
+  Tiered t = make_tiered(mb.build());
+  for (const std::int32_t x : {0, 41, -7}) {
+    check_both(t, "set", {Value::from_i32(x)});
+    check_both(t, "tee", {Value::from_i32(x)});
+    check_both(t, "fset", {Value::from_f64(x * 0.25)});
+  }
+  auto r = t.nat->invoke("set", std::vector<Value>{Value::from_i32(41)});
+  ASSERT_TRUE(r.ok()) << r.error();
+  EXPECT_EQ((*r)[0].i32(), 41);
+  r = t.nat->invoke("tee", std::vector<Value>{Value::from_i32(5)});
+  ASSERT_TRUE(r.ok()) << r.error();
+  EXPECT_EQ((*r)[0].i32(), 5 + 15 + 15);
+  r = t.nat->invoke("fset", std::vector<Value>{Value::from_f64(2.0)});
+  ASSERT_TRUE(r.ok()) << r.error();
+  EXPECT_EQ((*r)[0].f64(), -1.5);
+}
+
+/// A loop whose counter ranks third by heat, so it is pinned to a
+/// caller-saved register (rbx/r12 go to the two hotter accumulators),
+/// calls a compiled function directly and a host import through the
+/// helper every iteration. The callee pins its own locals to the same
+/// caller-saved registers; the counter must survive both calls.
+TEST(JitCodegen, PinnedCounterSurvivesCalls) {
+  ModuleBuilder mb;
+  auto host = mb.import_function("env", "inc", sig({ValType::I32}, {ValType::I32}));
+  // clobber(x): a loop over its own pinned locals (rbx, r12, rsi, ...).
+  auto clobber = mb.add_function(sig({ValType::I32}, {ValType::I32}),
+                                 {ValType::I32, ValType::I32, ValType::I32, ValType::I32});
+  {
+    CodeEmitter ce;
+    ce.block().loop();
+    ce.local_get(1).local_get(0).op(kI32Add).local_set(1);
+    ce.local_get(2).local_get(1).op(kI32Xor).local_set(2);
+    ce.local_get(3).local_get(2).op(kI32Add).local_set(3);
+    ce.local_get(4).i32_const(1).op(kI32Add).local_tee(4);
+    ce.i32_const(5).op(kI32LtU).br_if(0);
+    ce.end().end();
+    ce.local_get(3);
+    mb.set_body(clobber, ce.bytes());
+  }
+  // f(n) and count(n) share a body over locals 1 = i (the counter), 2 = a,
+  // 3 = b; f returns a ^ b, count returns i.
+  auto body = [&](bool count) {
+    CodeEmitter ce;
+    ce.block().loop();
+    ce.local_get(1).local_get(0).op(kI32GeS).br_if(1);
+    for (int k = 0; k < 3; ++k) {  // a and b outrank i
+      ce.local_get(2).local_get(3).op(kI32Add).local_set(2);
+      ce.local_get(3).local_get(2).op(kI32Xor).local_set(3);
+    }
+    ce.local_get(2).local_get(1).call(clobber).op(kI32Add).local_set(2);
+    ce.local_get(3).local_get(1).call(host).op(kI32Add).local_set(3);
+    ce.local_get(1).i32_const(1).op(kI32Add).local_set(1);
+    ce.br(0);
+    ce.end().end();
+    if (count)
+      ce.local_get(1);
+    else
+      ce.local_get(2).local_get(3).op(kI32Xor);
+    return ce.bytes();
+  };
+  for (const bool count : {false, true}) {
+    auto f = mb.add_function(sig({ValType::I32}, {ValType::I32}),
+                             {ValType::I32, ValType::I32, ValType::I32});
+    mb.set_body(f, body(count));
+    mb.export_function(count ? "count" : "f", f);
+  }
+
+  ImportResolver imports;
+  imports.add_function("env", "inc", sig({ValType::I32}, {ValType::I32}),
+                       [](Instance&, std::span<const Value> args) {
+                         return Result<std::vector<Value>>{
+                             std::vector<Value>{Value::from_i32(args[0].i32() + 1)}};
+                       });
+  Tiered t = make_tiered(mb.build(), imports);
+  for (const std::int32_t n : {0, 1, 7, 40}) {
+    check_both(t, "f", {Value::from_i32(n)});
+    check_both(t, "count", {Value::from_i32(n)});
+  }
+  if (!t.tier) return;
+  auto r = t.nat->invoke("count", std::vector<Value>{Value::from_i32(40)});
+  ASSERT_TRUE(r.ok()) << r.error();
+  EXPECT_EQ((*r)[0].i32(), 40);
+  EXPECT_GT(t.tier->fallback_call(), 0u);  // the host calls went through the helper
+  EXPECT_GT(t.tier->native_entries(), 40u);  // ... and clobber ran natively
+}
+
+/// Twelve i32 accumulators and a loop counter, all hot: five get GPRs, the
+/// rest stay in slots, and the sum matches the AOT stream.
+TEST(JitCodegen, MoreHotLocalsThanRegisters) {
+  ModuleBuilder mb;
+  constexpr std::uint32_t kLocals = 12;
+  auto f = mb.add_function(sig({ValType::I32}, {ValType::I32}),
+                           std::vector<ValType>(kLocals + 1, ValType::I32));
+  const std::uint32_t counter = kLocals + 1;
+  CodeEmitter ce;
+  ce.block().loop();
+  ce.local_get(counter).local_get(0).op(kI32GeS).br_if(1);
+  for (std::uint32_t l = 1; l <= kLocals; ++l) {  // l += l-1 (+ counter)
+    ce.local_get(l).local_get(l == 1 ? counter : l - 1).op(kI32Add);
+    ce.i32_const(static_cast<std::int32_t>(l)).op(kI32Add).local_set(l);
+  }
+  ce.local_get(counter).i32_const(1).op(kI32Add).local_set(counter);
+  ce.br(0);
+  ce.end().end();
+  ce.i32_const(0);
+  for (std::uint32_t l = 1; l <= kLocals; ++l) ce.local_get(l).op(kI32Add);
+  mb.set_body(f, ce.bytes());
+  mb.export_function("sum", f);
+
+  Tiered t = make_tiered(mb.build());
+  for (const std::int32_t n : {0, 1, 5, 100}) check_both(t, "sum", {Value::from_i32(n)});
+}
+
+// ---------------------------------------------------------------------------
 // Direct native-to-native calls through the TierSet entry table.
 
 /// leaf(x) = x * 3 + 1; mid(x) = leaf(x) + leaf(x + 1);

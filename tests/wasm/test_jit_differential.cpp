@@ -21,8 +21,11 @@
 // A second generator (ControlFlowAgreesAcrossTiers, below) targets the
 // native tier's register cache and direct calls: value-carrying branches,
 // loops, compare-consumer shapes, register-pool spills, values live across
-// calls and recursion at the call-depth limit. It prints its first seed;
-// WATZ_FUZZ_SEED=0x<seed> replays (or moves) the range.
+// calls and recursion at the call-depth limit. A third
+// (LocalsAgreeAcrossTiers) targets pinned locals: more hot locals of every
+// type than the tier has registers for, live across every kind of call
+// out of the function. Each prints its first seed; WATZ_FUZZ_SEED=0x<seed>
+// replays (or moves) the ranges.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -1238,13 +1241,15 @@ Outcome run_named(Instance& inst, const char* name, std::span<const Value> args)
   return {false, buf};
 }
 
-std::uint64_t control_fuzz_seed() {
+/// The first seed of a fuzzer's range: WATZ_FUZZ_SEED when set, else the
+/// fuzzer's own default.
+std::uint64_t fuzz_seed(std::uint64_t fallback) {
   if (const char* env = std::getenv("WATZ_FUZZ_SEED")) return std::strtoull(env, nullptr, 0);
-  return 0xcf000000;
+  return fallback;
 }
 
 TEST(JitDifferential, ControlFlowAgreesAcrossTiers) {
-  const std::uint64_t first = control_fuzz_seed();
+  const std::uint64_t first = fuzz_seed(0xcf000000);
   std::printf("control-flow fuzz seed: WATZ_FUZZ_SEED=0x%llx\n",
               static_cast<unsigned long long>(first));
   const ImportResolver imports;
@@ -1306,6 +1311,465 @@ TEST(JitDifferential, ControlFlowAgreesAcrossTiers) {
   EXPECT_GT(clean_runs, 200);
   EXPECT_GT(trapping_runs, 120);
   EXPECT_GT(depth_traps, 100);
+}
+
+
+// ---------------------------------------------------------------------------
+// Pinned-locals differential fuzzing: the native tier keeps each function's
+// hottest locals in registers (5 GPRs, 8 XMM registers) and stores the
+// caller-saved ones around every call out of the function. Its own
+// generator and seed range, so the two corpora above stay unchanged.
+//
+// Every function has the signature (i32, i64, f32, f64) -> i64 and 26
+// locals, more hot ones of every type than the tier has registers for:
+//   i32: 0, 4-10 (9 and 10 are loop counters)   i64: 1, 11-13
+//   f32: 2, 14-18                               f64: 3, 19-25
+// Statements assign and tee locals (often while an alias of the target is
+// still on the stack), run counted loops, read f32 locals back through
+// i32/i64 reinterprets, store to memory, grow it and dispatch br_table
+// with every local live. Function 0 (`leaf`) is compiled; function 1
+// (`slow`) stays on the AOT stream in the tier (its copy of the stream
+// refuses), so calls to it take the helper; both sit in the table for
+// call_indirect. The other functions call all three ways. Every function
+// returns a hash of all its locals.
+class LocalsGen {
+ public:
+  LocalsGen(CodeEmitter& ce, Rng& rng, bool calls, std::uint32_t sig_type)
+      : ce_(ce), rng_(rng), calls_(calls), sig_type_(sig_type) {}
+
+  void body() {
+    const std::uint32_t n = 3 + rng_.below(4);
+    for (std::uint32_t i = 0; i < n; ++i) stmt(2);
+    hash_locals();
+  }
+
+ private:
+  static constexpr std::uint32_t kI32[] = {0, 4, 5, 6, 7, 8, 9, 10};
+  static constexpr std::uint32_t kI64[] = {1, 11, 12, 13};
+  static constexpr std::uint32_t kF32[] = {2, 14, 15, 16, 17, 18};
+  static constexpr std::uint32_t kF64[] = {3, 19, 20, 21, 22, 23, 24, 25};
+  enum Ty { I32, I64, F32, F64 };
+
+  template <std::size_t N>
+  std::uint32_t pick(const std::uint32_t (&set)[N]) {
+    return set[rng_.below(static_cast<std::uint32_t>(N))];
+  }
+  /// A local of type `t` the body may write (never a loop counter).
+  std::uint32_t writable(Ty t) {
+    switch (t) {
+      case I32: return kI32[rng_.below(6)];
+      case I64: return pick(kI64);
+      case F32: return pick(kF32);
+      default: return pick(kF64);
+    }
+  }
+  void expr(Ty t, int d) {
+    switch (t) {
+      case I32: return i32(d);
+      case I64: return i64(d);
+      case F32: return f32(d);
+      default: return f64(d);
+    }
+  }
+  /// A binary op of type `t` (commutative and not).
+  void binop(Ty t) {
+    static const Op k32[] = {kI32Add, kI32Sub, kI32Mul, kI32Xor, kI32Or, kI32Shl, kI32ShrU};
+    static const Op k64[] = {kI64Add, kI64Sub, kI64Mul, kI64Xor, kI64And, kI64Rotl};
+    static const Op kf32[] = {kF32Add, kF32Sub, kF32Mul, kF32Min, kF32Max};
+    static const Op kf64[] = {kF64Add, kF64Sub, kF64Mul, kF64Div, kF64Min};
+    switch (t) {
+      case I32: ce_.op(k32[rng_.below(7)]); return;
+      case I64: ce_.op(k64[rng_.below(6)]); return;
+      case F32: ce_.op(kf32[rng_.below(5)]); return;
+      default: ce_.op(kf64[rng_.below(5)]); return;
+    }
+  }
+
+  void stmt(int d) {
+    const Ty t = static_cast<Ty>(rng_.below(4));
+    switch (d <= 0 ? 0 : rng_.below(12)) {
+      case 0:
+      case 1:
+        expr(t, d);
+        ce_.local_set(writable(t));
+        return;
+      case 2: {  // x OP= expr: the in-place shape
+        const std::uint32_t x = writable(t);
+        ce_.local_get(x);
+        expr(t, d);
+        binop(t);
+        ce_.local_set(x);
+        return;
+      }
+      case 3: {  // the target's old value is still on the stack at the tee
+        const std::uint32_t x = writable(t);
+        ce_.local_get(x);
+        expr(t, d);
+        ce_.local_tee(x);
+        binop(t);
+        if (rng_.chance(1, 2)) ce_.local_get(x).op(t == I32 ? kI32Add : t == I64 ? kI64Xor
+                                                   : t == F32 ? kF32Sub : kF64Add);
+        ce_.local_set(writable(t));
+        return;
+      }
+      case 4:
+      case 5:
+        if (loops_ < 2) return loop_stmt(d);
+        [[fallthrough]];
+      case 6:
+        if (calls_) return call_stmt(d);
+        [[fallthrough]];
+      case 7: {  // br_table with every local live
+        ce_.block().block().block();
+        i32(d);
+        ce_.i32_const(3).op(kI32And);
+        ce_.br_table({0, 1, 2}, rng_.below(3));
+        ce_.end();
+        stmt(d - 1);
+        ce_.end();
+        stmt(d - 1);
+        ce_.end();
+        return;
+      }
+      case 8: {  // memory.grow (fails once at the maximum)
+        const std::uint32_t x = writable(I32);
+        ce_.local_get(x).i32_const(static_cast<std::int32_t>(rng_.below(2))).memory_grow();
+        ce_.op(kI32Add).local_set(x);
+        return;
+      }
+      case 9:  // f32 locals read back as bits
+        ce_.local_get(pick(kF32)).op(kI32ReinterpretF32);
+        if (rng_.chance(1, 2)) {
+          ce_.op(kI64ExtendI32U);
+          if (rng_.chance(1, 2)) {
+            ce_.op(kF64ReinterpretI64).local_set(writable(F64));
+          } else {
+            ce_.local_get(writable(I64)).op(kI64Xor).local_set(writable(I64));
+          }
+        } else {
+          ce_.local_set(writable(I32));
+        }
+        return;
+      case 10:  // store a local's value to memory
+        i32(d - 1);
+        ce_.i32_const(0xff8).op(kI32And);
+        if (rng_.chance(1, 2))
+          ce_.local_get(pick(kI64)).store(kI64Store, 0);
+        else
+          ce_.local_get(pick(kF64)).store(kF64Store, 8);
+        return;
+      default: {
+        const std::uint32_t x = writable(t);
+        expr(t, d);
+        ce_.local_tee(x).op(kDrop);
+        return;
+      }
+    }
+  }
+
+  void loop_stmt(int d) {
+    const std::uint32_t counter = loops_ == 0 ? 9 : 10;
+    const std::int32_t trips = 1 + static_cast<std::int32_t>(rng_.below(5));
+    ++loops_;
+    ce_.i32_const(0).local_set(counter);
+    ce_.block().loop();
+    const std::uint32_t n = 1 + rng_.below(3);
+    for (std::uint32_t i = 0; i < n; ++i) stmt(d);
+    ce_.local_get(counter).i32_const(1).op(kI32Add).local_tee(counter);
+    ce_.i32_const(trips).op(kI32LtS).br_if(0);
+    ce_.end().end();
+    --loops_;
+  }
+
+  /// leaf (direct), slow (helper: not compiled) or either through the
+  /// table; the result is folded into an i64 local.
+  void call_stmt(int d) {
+    const std::uint32_t x = writable(I64);
+    ce_.local_get(x);
+    i32(d - 1);
+    i64(d - 1);
+    f32(d - 1);
+    f64(d - 1);
+    switch (rng_.below(3)) {
+      case 0:
+        ce_.call(0);
+        break;
+      case 1:
+        ce_.call(1);
+        break;
+      default:
+        ce_.local_get(pick(kI32)).i32_const(1).op(kI32And);
+        ce_.call_indirect(sig_type_);
+        break;
+    }
+    ce_.op(rng_.chance(1, 2) ? kI64Add : kI64Xor).local_set(x);
+  }
+
+  void i32(int d) {
+    if (d <= 0 || rng_.chance(2, 5)) {
+      if (rng_.chance(4, 5)) {
+        ce_.local_get(pick(kI32));
+      } else {
+        ce_.i32_const(static_cast<std::int32_t>(rng_.below(16)) - 4);
+      }
+      return;
+    }
+    switch (rng_.below(8)) {
+      case 0:
+      case 1:
+        i32(d - 1);
+        i32(d - 1);
+        binop(I32);
+        return;
+      case 6:  // memory the stores above wrote
+        i32(d - 1);
+        ce_.i32_const(0xffc).op(kI32And).load(kI32Load, 0);
+        return;
+      case 2: {  // constant divisors, and a guarded variable one
+        static const std::int32_t kDiv[] = {7, -1, 1, 3, INT32_MIN};
+        static const Op kOps[] = {kI32DivS, kI32DivU, kI32RemS, kI32RemU};
+        i32(d - 1);
+        if (rng_.chance(1, 3)) {
+          i32(d - 1);
+          ce_.i32_const(1).op(kI32Or);
+        } else {
+          ce_.i32_const(kDiv[rng_.below(5)]);
+        }
+        ce_.op(kOps[rng_.below(4)]);
+        return;
+      }
+      case 3:
+        i64(d - 1);
+        ce_.op(kI32WrapI64);
+        return;
+      case 4:
+        f32(d - 1);
+        ce_.op(kI32ReinterpretF32);
+        return;
+      case 5:
+        i32(d - 1);
+        i32(d - 1);
+        ce_.op(rng_.chance(1, 2) ? kI32LtS : kI32Ne);
+        return;
+      default:
+        i32(d - 1);
+        i32(d - 1);
+        ce_.local_get(pick(kI32));
+        ce_.op(kSelect);
+        return;
+    }
+  }
+
+  void i64(int d) {
+    if (d <= 0 || rng_.chance(2, 5)) {
+      if (rng_.chance(4, 5))
+        ce_.local_get(pick(kI64));
+      else
+        ce_.i64_const((static_cast<std::int64_t>(rng_.next()) << 32) | rng_.next());
+      return;
+    }
+    switch (rng_.below(5)) {
+      case 0:
+      case 1:
+        i64(d - 1);
+        i64(d - 1);
+        binop(I64);
+        return;
+      case 2:
+        i32(d - 1);
+        ce_.op(rng_.chance(1, 2) ? kI64ExtendI32S : kI64ExtendI32U);
+        return;
+      case 3:
+        f64(d - 1);
+        ce_.op(kI64ReinterpretF64);
+        return;
+      default:  // f32 bits widened to 64: the upper half must be zero
+        ce_.local_get(pick(kF32)).op(kI32ReinterpretF32).op(kI64ExtendI32U);
+        return;
+    }
+  }
+
+  void f32(int d) {
+    if (d <= 0 || rng_.chance(2, 5)) {
+      if (rng_.chance(4, 5))
+        ce_.local_get(pick(kF32));
+      else
+        ce_.f32_const(static_cast<float>(rng_.below(32)) * 0.5f - 4.0f);
+      return;
+    }
+    switch (rng_.below(5)) {
+      case 0:
+      case 1:
+        f32(d - 1);
+        f32(d - 1);
+        binop(F32);
+        return;
+      case 2:
+        f64(d - 1);
+        ce_.op(kF32DemoteF64);
+        return;
+      case 3:
+        i32(d - 1);
+        ce_.op(rng_.chance(1, 2) ? kF32ConvertI32S : kF32ReinterpretI32);
+        return;
+      default:
+        f32(d - 1);
+        ce_.op(rng_.chance(1, 2) ? kF32Neg : kF32Abs);
+        return;
+    }
+  }
+
+  void f64(int d) {
+    if (d <= 0 || rng_.chance(2, 5)) {
+      if (rng_.chance(4, 5))
+        ce_.local_get(pick(kF64));
+      else
+        ce_.f64_const(static_cast<double>(rng_.below(64)) * 0.25 - 8.0);
+      return;
+    }
+    switch (rng_.below(6)) {
+      case 0:
+      case 1:
+        f64(d - 1);
+        f64(d - 1);
+        binop(F64);
+        return;
+      case 2:
+        f32(d - 1);
+        ce_.op(kF64PromoteF32);
+        return;
+      case 3:
+        i32(d - 1);
+        ce_.op(kF64ConvertI32S);
+        return;
+      case 4:  // an f32 local's bits widened and read as f64
+        ce_.local_get(pick(kF32)).op(kI32ReinterpretF32).op(kI64ExtendI32U);
+        ce_.op(kF64ReinterpretI64);
+        return;
+      default:
+        f64(d - 1);
+        ce_.op(rng_.chance(1, 2) ? kF64Sqrt : kF64Neg);
+        return;
+    }
+  }
+
+  /// h = rotl(h ^ bits(local), 7) over every local.
+  void hash_locals() {
+    ce_.i64_const(0x243f6a8885a308d3ll);
+    for (std::uint32_t l = 0; l < 26; ++l) {
+      ce_.local_get(l);
+      if (l == 2 || (l >= 14 && l <= 18)) {
+        ce_.op(kI32ReinterpretF32).op(kI64ExtendI32U);
+      } else if (l == 3 || l >= 19) {
+        ce_.op(kI64ReinterpretF64);
+      } else if (l == 0 || (l >= 4 && l <= 10)) {
+        ce_.op(kI64ExtendI32U);
+      }
+      ce_.op(kI64Xor).i64_const(7).op(kI64Rotl);
+    }
+  }
+
+  CodeEmitter& ce_;
+  Rng& rng_;
+  const bool calls_;
+  const std::uint32_t sig_type_;
+  int loops_ = 0;
+};
+
+/// leaf (0) and slow (1) without calls, then 1-2 functions that call them;
+/// the last is exported as "main".
+Bytes generate_locals_module(std::uint64_t seed) {
+  Rng rng(seed);
+  ModuleBuilder mb;
+  mb.add_memory(1, 3);
+  mb.add_table(2, 2);
+  const FuncType ft{{ValType::I32, ValType::I64, ValType::F32, ValType::F64}, {ValType::I64}};
+  const std::uint32_t sig_type = mb.add_type(ft);
+  std::vector<ValType> locals(7, ValType::I32);
+  locals.insert(locals.end(), 3, ValType::I64);
+  locals.insert(locals.end(), 5, ValType::F32);
+  locals.insert(locals.end(), 7, ValType::F64);
+
+  std::uint32_t last = 0;
+  const std::uint32_t num_funcs = 3 + rng.below(2);
+  for (std::uint32_t i = 0; i < num_funcs; ++i) {
+    last = mb.add_function(ft, locals);
+    CodeEmitter ce;
+    LocalsGen gen(ce, rng, /*calls=*/i >= 2, sig_type);
+    gen.body();
+    mb.set_body(last, ce.bytes());
+  }
+  mb.add_element(0, {0, 1});
+  mb.export_function("main", last);
+  return mb.build();
+}
+
+TEST(JitDifferential, LocalsAgreeAcrossTiers) {
+  const std::uint64_t first = fuzz_seed(0x10ca1000);
+  std::printf("pinned-locals fuzz seed: WATZ_FUZZ_SEED=0x%llx\n",
+              static_cast<unsigned long long>(first));
+  const ImportResolver imports;
+  const bool native = jit::jit_available();
+  int trapping_runs = 0, clean_runs = 0;
+  std::uint64_t helper_calls = 0, native_calls = 0;
+
+  for (std::uint64_t seed = first; seed < first + 100; ++seed) {
+    Bytes bin = generate_locals_module(seed);
+    std::vector<CompiledFunc> patched;  // outlives the tier that spans it
+    auto make = [&](ExecMode mode) -> std::unique_ptr<Instance> {
+      auto mod = decode_module(bin);
+      EXPECT_TRUE(mod.ok()) << "seed 0x" << std::hex << seed << ": " << mod.error();
+      if (!mod.ok()) return nullptr;
+      auto inst = Instance::instantiate(std::move(*mod), imports, mode);
+      EXPECT_TRUE(inst.ok()) << "seed 0x" << std::hex << seed << ": " << inst.error();
+      return inst.ok() ? std::move(*inst) : nullptr;
+    };
+    auto interp = make(ExecMode::Interp);
+    auto aot = make(ExecMode::Aot);
+    auto jitted = make(ExecMode::Aot);
+    ASSERT_TRUE(interp && aot && jitted) << "seed 0x" << std::hex << seed;
+    std::shared_ptr<jit::TierSet> tier;
+    if (native) {
+      // `slow` refuses in the tier's copy of the stream: calls to it go
+      // through the helper and the instance's own AOT stream.
+      patched.assign(jitted->compiled.begin(), jitted->compiled.end());
+      patched[1].code[0].op = 0x3fe;
+      jit::TierConfig config;
+      config.hot_threshold = 1 << 30;
+      tier = std::make_shared<jit::TierSet>(&jitted->module(), patched, std::move(config));
+      EXPECT_EQ(tier->compile_all(), patched.size() - 1) << "seed 0x" << std::hex << seed;
+      EXPECT_EQ(tier->entry_for(1), nullptr);
+      jitted->tier = tier;
+    }
+
+    static const std::int32_t kI32s[] = {0, 1, -1, 6, INT32_MIN};
+    static const std::int64_t kI64s[] = {0, -3, INT64_MAX, 0x123456789};
+    static const float kF32s[] = {0.0f, -1.5f, 2.25f, f32_from_bits(0x7fc00001)};
+    static const double kF64s[] = {0.0, -0.0, 3.5, f64_from_bits(0x7ff8dead00000001ull)};
+    Rng pick(seed ^ 0x10ca1);
+    for (int v = 0; v < 4; ++v) {
+      const std::vector<Value> args{
+          Value::from_i32(kI32s[pick.below(5)]), Value::from_i64(kI64s[pick.below(4)]),
+          Value::from_f32(kF32s[pick.below(4)]), Value::from_f64(kF64s[pick.below(4)])};
+      const Outcome a = run_one(*interp, args);
+      const Outcome b = run_one(*aot, args);
+      const Outcome c = run_one(*jitted, args);
+      EXPECT_EQ(a.detail, b.detail) << "seed 0x" << std::hex << seed << " run " << std::dec << v;
+      EXPECT_EQ(b.detail, c.detail) << "seed 0x" << std::hex << seed << " run " << std::dec << v;
+      (a.trapped ? trapping_runs : clean_runs)++;
+    }
+    if (tier) {
+      helper_calls += tier->fallback_call();
+      native_calls += tier->native_entries();
+    }
+    if (HasFailure()) return;
+  }
+
+  EXPECT_GT(clean_runs, 300);
+  if (native) {  // both call paths were exercised with pinned locals live
+    EXPECT_GT(helper_calls, 100u);
+    EXPECT_GT(native_calls, 400u);
+  }
 }
 
 }  // namespace
