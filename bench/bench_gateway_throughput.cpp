@@ -765,7 +765,7 @@ int main(int argc, char** argv) {
   // compile it (the background sweeper may already have — the explicit call
   // just bounds the race), and times the same invoke on the native entry.
   // The ratios are CI gates: the double kernel must buy >= 4x (floats lower
-  // inline now, not through thunks) with ZERO jit_fallback_float traffic in
+  // inline now, not through thunks) with ZERO jit_fallback_ops traffic in
   // steady state, the int kernel >= 2x, and the tiered gateway's
   // tier_up_compiles counter must be > 0 for the ratios to mean anything.
   // On hosts where the JIT cannot run (non-x86-64 or WATZ_DISABLE_JIT) the
@@ -777,7 +777,7 @@ int main(int argc, char** argv) {
   double native_speedup = 1.0;   // gem, the double-precision headline gate
   double int_speedup = 1.0;      // flo, the phase-1 integer floor
   double tier_compiles = 0.0;
-  double float_fallbacks = 0.0;  // steady-state jit_fallback_float on gem
+  double thunk_ops = 0.0;  // steady-state jit_fallback_ops on gem
   {
     const int reps = 3;
     std::uint8_t tier_otpmk = 0xF8;
@@ -790,7 +790,7 @@ int main(int argc, char** argv) {
     auto measure = [&](gateway::GatewayConfig config, const Bytes& binary,
                        int kernel_n,
                        const std::function<void(gateway::Gateway&)>& pre,
-                       double* compiles_out, double* float_fallback_out) {
+                       double* compiles_out, double* thunk_ops_out) {
       gateway::Gateway gw(fabric, config, to_bytes("gw-bench-" + config.hostname));
       gw.start().check();
       auto board = bench::boot_device(fabric, vendor, config.hostname + "-node",
@@ -814,18 +814,18 @@ int main(int argc, char** argv) {
       };
       run_once();  // warms the pool slot (and, tiered, trips the heat counter)
       pre(gw);
-      const std::uint64_t float_before = gw.stats().jit_fallback_float;
+      const std::uint64_t thunks_before = gw.stats().jit_fallback_ops;
       const std::uint64_t ns = bench::median_ns(reps, run_once);
       if (compiles_out != nullptr)
         *compiles_out = static_cast<double>(gw.stats().tier_up_compiles);
-      if (float_fallback_out != nullptr)
-        *float_fallback_out =
-            static_cast<double>(gw.stats().jit_fallback_float - float_before);
+      if (thunk_ops_out != nullptr)
+        *thunk_ops_out =
+            static_cast<double>(gw.stats().jit_fallback_ops - thunks_before);
       return ns;
     };
 
     auto kernel_pair = [&](const char* name, double* speedup_out,
-                           double* compiles_out, double* float_fallback_out) {
+                           double* compiles_out, double* thunk_ops_out) {
       const polybench::KernelDef* kernel = polybench::find_kernel(name);
       if (kernel == nullptr)
         throw Error("bench: kernel missing: " + std::string(name));
@@ -853,7 +853,7 @@ int main(int argc, char** argv) {
       const std::uint64_t native_ns = measure(
           tiered, *binary, kernel->n,
           [](gateway::Gateway& gw) { gw.sweep_tier_compiles(); }, compiles_out,
-          float_fallback_out);
+          thunk_ops_out);
 
       if (native_ns > 0)
         *speedup_out =
@@ -866,17 +866,17 @@ int main(int argc, char** argv) {
                     wasm::jit::jit_available() ? "" : " (JIT unavailable)");
     };
 
-    kernel_pair("gem", &native_speedup, &tier_compiles, &float_fallbacks);
+    kernel_pair("gem", &native_speedup, &tier_compiles, &thunk_ops);
     kernel_pair("flo", &int_speedup, nullptr, nullptr);
     if (tables)
-      std::printf("  gem steady state: %.0f float-thunk op(s), %.0f "
+      std::printf("  gem steady state: %.0f thunk op(s), %.0f "
                   "function(s) compiled\n",
-                  float_fallbacks, tier_compiles);
+                  thunk_ops, tier_compiles);
   }
   report.metric("native_speedup_over_aot_stream", native_speedup, "x");
   report.metric("native_speedup_int_kernel", int_speedup, "x");
   report.metric("tier_up_compiles", tier_compiles, "functions");
-  report.metric("jit_fallback_float", float_fallbacks, "ops");
+  report.metric("jit_fallback_ops", thunk_ops, "ops");
 
   // ---- phase 8b: fig8 genann training step, AOT-pinned vs tiered ---------
   // The paper's genann workload is double-heavy guest compute (sigmoid

@@ -186,11 +186,13 @@ Status Gateway::add_device(core::Device& device) {
     // worker, reading them.
     const core::JitTierOptions jit{config_.jit_tiering, config_.jit_hot_calls};
     if (device.runtime().jit_options() != jit) device.runtime().set_jit_options(jit);
-    backend->cache = std::make_shared<ModuleCache>(device.runtime(), cache_config);
-    backend->cache->bind_tier_metrics(&tier_up_compiles_, &native_entries_,
-                                      &jit_fallback_ops_, &tier_compile_ns_hist_,
-                                      &jit_fallback_float_, &jit_fallback_conv_,
-                                      &jit_fallback_call_, &jit_fallback_other_);
+    backend->cache = std::make_shared<ModuleCache>(
+        device.runtime(), cache_config,
+        wasm::jit::TierSinks{.compiles = &tier_up_compiles_,
+                             .native_entries = &native_entries_,
+                             .fallback_ops = &jit_fallback_ops_,
+                             .fallback_call = &jit_fallback_call_,
+                             .compile_ns = &tier_compile_ns_hist_});
     backend->attester_rng = std::make_shared<crypto::Fortuna>(
         device.os().huk_subkey_derive("watz-gateway-attester-v1"));
     backend->platform_claim = platform_claim(device);
@@ -779,8 +781,8 @@ std::vector<Result<InvokeResponse>> Gateway::admit_lanes(
 
 // Runs on the slot's worker thread. The guest executes on the SLOT's
 // monitor (data plane, concurrent across the pool); only a lazy handshake
-// detours through the device's primary monitor, serialised inside
-// run_handshake on the DeviceControl TEE mutex. Lock discipline
+// (a one-lane run_handshake_batch) detours through the device's primary
+// monitor, serialised on the DeviceControl TEE mutex. Lock discipline
 // (DESIGN.md §2): session.mu and cache.mu are leaves; neither is held
 // across the guest invoke below.
 Result<InvokeResponse> Gateway::execute_invoke(Slot& slot,
@@ -821,7 +823,11 @@ Result<InvokeResponse> Gateway::execute_invoke(Slot& slot,
   const std::uint64_t ra_start = hw::monotonic_ns();
   auto exchanges = sessions_.ensure_attested(
       *session, hostname, boot_count, ra_start,
-      [&] { return run_handshake(backend); });
+      [&]() -> Result<attestation::Evidence> {
+        auto batch = run_handshake_batch(backend, 1);
+        if (!batch.ok()) return Result<attestation::Evidence>::err(batch.error());
+        return std::move(batch->lanes.front());
+      });
   if (!exchanges.ok()) return R::err(exchanges.error());
   std::uint64_t ra_ns = 0;
   if (*exchanges > 0) {
@@ -978,60 +984,6 @@ void Gateway::memo_store(const std::string& key, const InvokeResponse& response,
   memo_.store(key, std::move(entry), hw::monotonic_ns());
 }
 
-Result<attestation::Evidence> Gateway::run_handshake(Backend& backend) {
-  using Ev = Result<attestation::Evidence>;
-  const std::string& hostname = backend.hostname;
-  core::Device* device_snapshot = nullptr;
-  std::shared_ptr<core::DeviceControl> control;
-  std::shared_ptr<crypto::Fortuna> rng;
-  crypto::Sha256Digest claim;
-  {
-    std::lock_guard<std::mutex> lock(backend.state_mu);
-    device_snapshot = backend.device;
-    control = backend.control;
-    rng = backend.attester_rng;
-    claim = backend.platform_claim;
-  }
-  core::Device& device = *device_snapshot;
-  // The attester state machine runs inside the device's TEE on its PRIMARY
-  // monitor (control plane): concurrent slot workers needing a handshake
-  // serialise on the DeviceControl TEE mutex — guest invokes on the slot
-  // monitors are untouched. The attester's socket calls are relayed by the
-  // supplicant across the fabric to the gateway's RA endpoint (exactly the
-  // SS V deployment, with the gateway as relying party).
-  std::lock_guard<std::mutex> tee_lock(control->tee_mutex());
-  return device.monitor().smc_call([&]() -> Ev {
-    optee::Supplicant* supplicant = device.os().supplicant();
-    if (!supplicant) return Ev::err("gateway: " + hostname + ": no supplicant");
-
-    ra::AttesterSession attester(*rng, verifier_->identity_key());
-    auto conn = supplicant->socket_connect(config_.hostname, config_.ra_port);
-    if (!conn.ok()) return Ev::err(conn.error());
-    struct CloseGuard {
-      optee::Supplicant* s;
-      std::uint32_t handle;
-      ~CloseGuard() { s->socket_close(handle); }
-    } guard{supplicant, *conn};
-
-    auto msg1 = supplicant->socket_send_recv(*conn, attester.make_msg0());
-    if (!msg1.ok()) return Ev::err(msg1.error());
-
-    attestation::Evidence evidence;
-    auto msg2 = attester.handle_msg1(
-        *msg1, [&](const std::array<std::uint8_t, 32>& anchor) {
-          evidence = device.attestation_service().issue_evidence(anchor, claim);
-          return evidence;
-        });
-    if (!msg2.ok()) return Ev::err(msg2.error());
-
-    auto msg3 = supplicant->socket_send_recv(*conn, *msg2);
-    if (!msg3.ok()) return Ev::err(msg3.error());  // verifier rejected the device
-    auto ticket = attester.handle_msg3(*msg3);
-    if (!ticket.ok()) return Ev::err(ticket.error());
-    return evidence;
-  });
-}
-
 Result<Gateway::BatchHandshake> Gateway::run_handshake_batch(Backend& backend,
                                                              std::size_t lanes) {
   using R = Result<BatchHandshake>;
@@ -1052,7 +1004,9 @@ Result<Gateway::BatchHandshake> Gateway::run_handshake_batch(Backend& backend,
   // advance in lockstep, and each protocol step crosses the fabric ONCE as
   // a batch frame (ra/messages.hpp) instead of once per session. Control
   // plane: the primary monitor, serialised on the DeviceControl TEE mutex
-  // against lazy per-slot handshakes.
+  // against every other handshake of this board. The attester's socket
+  // calls are relayed by the supplicant across the fabric to the gateway's
+  // RA endpoint (the SS V deployment, with the gateway as relying party).
   std::lock_guard<std::mutex> tee_lock(control->tee_mutex());
   return device.monitor().smc_call([&]() -> R {
     optee::Supplicant* supplicant = device.os().supplicant();
@@ -1405,10 +1359,7 @@ GatewayStats Gateway::stats(bool detail) {
   stats.tier_up_compiles = tier_up_compiles_.get();
   stats.native_entries = native_entries_.get();
   stats.jit_fallback_ops = jit_fallback_ops_.get();
-  stats.jit_fallback_float = jit_fallback_float_.get();
-  stats.jit_fallback_conv = jit_fallback_conv_.get();
   stats.jit_fallback_call = jit_fallback_call_.get();
-  stats.jit_fallback_other = jit_fallback_other_.get();
   stats.invoke_memo_hits = invoke_memo_hits_.get();
   stats.migrations = migrations_.get();
   stats.prewarm_prepares = prewarm_prepares_.get();

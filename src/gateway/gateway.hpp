@@ -385,13 +385,6 @@ class Gateway {
                                         const std::string* memo_key,
                                         std::uint64_t queue_delay_ns);
 
-  /// Drives the attester side of the WaTZ protocol inside the device's TEE
-  /// against this gateway's RA endpoint. Runs on a slot worker thread,
-  /// serialised on the DeviceControl TEE mutex (the attester enters the
-  /// device's PRIMARY monitor — control plane, not the slot's). The
-  /// returned evidence has already been appraised by verifier_ en route.
-  Result<attestation::Evidence> run_handshake(Backend& backend);
-
   /// Outcome of one batched protocol run against one device.
   struct BatchHandshake {
     /// RA wire round-trips actually spent (2 when any lane reached msg2 —
@@ -400,12 +393,15 @@ class Gateway {
     std::vector<Result<attestation::Evidence>> lanes;
   };
 
-  /// Batched counterpart of run_handshake: drives `lanes` attester
-  /// sessions in lockstep inside the device's TEE — all msg0s cross in ONE
-  /// fabric exchange, all msg2s in a second (the ra/messages.hpp batch
-  /// frames), so the handshake's two round-trips are amortised across the
-  /// whole batch. Outer error = transport/device failure; per-lane results
-  /// let a batch partially succeed (one stale lane fails alone).
+  /// Drives `lanes` attester sessions of the WaTZ protocol in lockstep
+  /// inside the device's TEE (its PRIMARY monitor, serialised on the
+  /// DeviceControl TEE mutex) against this gateway's RA endpoint — all
+  /// msg0s cross in ONE fabric exchange, all msg2s in a second (the
+  /// ra/messages.hpp batch frames), so the handshake's two round-trips are
+  /// amortised across the whole batch. A lazy per-invoke handshake is one
+  /// lane. Returned evidence has already been appraised by verifier_ en
+  /// route. Outer error = transport/device failure; per-lane results let a
+  /// batch partially succeed (one stale lane fails alone).
   Result<BatchHandshake> run_handshake_batch(Backend& backend, std::size_t lanes);
 
   struct RegisteredBinary {
@@ -486,14 +482,9 @@ class Gateway {
   obs::Counter& tier_up_compiles_ = registry_.counter("wasm.tier_up_compiles");
   obs::Counter& native_entries_ = registry_.counter("wasm.native_entries");
   obs::Counter& jit_fallback_ops_ = registry_.counter("wasm.jit_fallback_ops");
-  /// The per-class split of jit_fallback_ops (float + conv + other; calls
-  /// are counted separately — dispatch is expected, not missing coverage).
-  obs::Counter& jit_fallback_float_ =
-      registry_.counter("wasm.jit_fallback_float");
-  obs::Counter& jit_fallback_conv_ = registry_.counter("wasm.jit_fallback_conv");
+  /// Helper call dispatches, apart from jit_fallback_ops: dispatch is
+  /// expected, not missing coverage.
   obs::Counter& jit_fallback_call_ = registry_.counter("wasm.jit_fallback_call");
-  obs::Counter& jit_fallback_other_ =
-      registry_.counter("wasm.jit_fallback_other");
   obs::Histogram& tier_compile_ns_hist_ =
       registry_.histogram("wasm.tier_compile_ns");
   /// Per-stage latency histograms (log2 buckets; STATS serialises their

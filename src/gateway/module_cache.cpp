@@ -18,24 +18,9 @@ Result<AppLease> ModuleCache::acquire(const crypto::Sha256Digest& measurement,
       return Result<AppLease>::err("module cache: measurement unknown and no binary");
     misses_.add();
     const std::uint64_t t0 = hw::monotonic_ns();  // cold launch pays it all
-    auto prepared = runtime_.prepare(binary, config.mode, bound);
-    if (!prepared.ok()) return Result<AppLease>::err(prepared.error());
-    if ((*prepared)->measurement() != measurement)
-      return Result<AppLease>::err("module cache: binary does not match measurement");
-    make_room((*prepared)->code_bytes(), nullptr);
-    Entry entry;
-    entry.prepared = std::move(*prepared);
-    entry.last_used = ++tick_;
-    charged_bytes_.add(entry.prepared->code_bytes());
-    // A fresh measurement's tier flushes into the same fleet-wide sinks as
-    // every other cached module from its first compile on.
-    if (entry.prepared->tier())
-      entry.prepared->tier()->bind_metrics(
-          tier_compiles_sink_, tier_entries_sink_, tier_fallback_sink_,
-          tier_compile_ns_sink_,
-          {tier_fallback_float_sink_, tier_fallback_conv_sink_,
-           tier_fallback_call_sink_, tier_fallback_other_sink_});
-    it = entries_.emplace(measurement, std::move(entry)).first;
+    auto inserted = insert(measurement, binary, config.mode, bound);
+    if (!inserted.ok()) return Result<AppLease>::err(inserted.error());
+    it = *inserted;
 
     auto app = runtime_.instantiate(it->second.prepared, config, bound);
     if (!app.ok()) return Result<AppLease>::err(app.error());
@@ -102,23 +87,28 @@ Status ModuleCache::prepare(const crypto::Sha256Digest& measurement,
   if (binary.empty())
     return Status::err("module cache: prewarm needs the module binary");
   prewarms_.add();
-  auto prepared = runtime_.prepare(binary, mode, &runtime_.primary_monitor());
-  if (!prepared.ok()) return Status::err(prepared.error());
+  auto inserted = insert(measurement, binary, mode, &runtime_.primary_monitor());
+  if (!inserted.ok()) return Status::err(inserted.error());
+  return Status{};
+}
+
+Result<ModuleCache::Entries::iterator> ModuleCache::insert(
+    const crypto::Sha256Digest& measurement, ByteView binary,
+    wasm::ExecMode mode, tz::SecureMonitor* monitor) {
+  using R = Result<Entries::iterator>;
+  auto prepared = runtime_.prepare(binary, mode, monitor);
+  if (!prepared.ok()) return R::err(prepared.error());
   if ((*prepared)->measurement() != measurement)
-    return Status::err("module cache: binary does not match measurement");
+    return R::err("module cache: binary does not match measurement");
   make_room((*prepared)->code_bytes(), nullptr);
   Entry entry;
   entry.prepared = std::move(*prepared);
   entry.last_used = ++tick_;
   charged_bytes_.add(entry.prepared->code_bytes());
-  if (entry.prepared->tier())
-    entry.prepared->tier()->bind_metrics(
-        tier_compiles_sink_, tier_entries_sink_, tier_fallback_sink_,
-        tier_compile_ns_sink_,
-        {tier_fallback_float_sink_, tier_fallback_conv_sink_,
-         tier_fallback_call_sink_, tier_fallback_other_sink_});
-  entries_.emplace(measurement, std::move(entry));
-  return Status{};
+  // A fresh measurement's tier flushes into the same fleet-wide sinks as
+  // every other cached module from its first compile on.
+  if (entry.prepared->tier()) entry.prepared->tier()->bind_metrics(&tier_sinks_);
+  return entries_.emplace(measurement, std::move(entry)).first;
 }
 
 void ModuleCache::release(std::unique_ptr<core::LoadedApp> app) {
@@ -165,93 +155,6 @@ std::size_t ModuleCache::sweep_tier_compiles() {
   std::size_t compiled = 0;
   for (const auto& tier : tiers) compiled += tier->compile_pending();
   return compiled;
-}
-
-void ModuleCache::bind_tier_metrics(obs::Counter* compiles, obs::Counter* entries,
-                                    obs::Counter* fallback_ops,
-                                    obs::Histogram* compile_ns,
-                                    obs::Counter* fallback_float,
-                                    obs::Counter* fallback_conv,
-                                    obs::Counter* fallback_call,
-                                    obs::Counter* fallback_other) {
-  std::lock_guard<std::mutex> lock(mu_);
-  tier_compiles_sink_ = compiles;
-  tier_entries_sink_ = entries;
-  tier_fallback_sink_ = fallback_ops;
-  tier_fallback_float_sink_ = fallback_float;
-  tier_fallback_conv_sink_ = fallback_conv;
-  tier_fallback_call_sink_ = fallback_call;
-  tier_fallback_other_sink_ = fallback_other;
-  tier_compile_ns_sink_ = compile_ns;
-  for (const auto& [digest, entry] : entries_)
-    if (entry.prepared->tier())
-      entry.prepared->tier()->bind_metrics(
-          compiles, entries, fallback_ops, compile_ns,
-          {fallback_float, fallback_conv, fallback_call, fallback_other});
-}
-
-std::uint64_t ModuleCache::tier_up_compiles() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t n = 0;
-  for (const auto& [digest, entry] : entries_)
-    if (entry.prepared->tier()) n += entry.prepared->tier()->tier_up_compiles();
-  return n;
-}
-
-std::uint64_t ModuleCache::native_entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t n = 0;
-  for (const auto& [digest, entry] : entries_)
-    if (entry.prepared->tier()) n += entry.prepared->tier()->native_entries();
-  return n;
-}
-
-std::uint64_t ModuleCache::jit_fallback_ops() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t n = 0;
-  for (const auto& [digest, entry] : entries_)
-    if (entry.prepared->tier()) n += entry.prepared->tier()->fallback_ops();
-  return n;
-}
-
-std::uint64_t ModuleCache::jit_fallback_float() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t n = 0;
-  for (const auto& [digest, entry] : entries_)
-    if (entry.prepared->tier()) n += entry.prepared->tier()->fallback_float();
-  return n;
-}
-
-std::uint64_t ModuleCache::jit_fallback_conv() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t n = 0;
-  for (const auto& [digest, entry] : entries_)
-    if (entry.prepared->tier()) n += entry.prepared->tier()->fallback_conv();
-  return n;
-}
-
-std::uint64_t ModuleCache::jit_fallback_call() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t n = 0;
-  for (const auto& [digest, entry] : entries_)
-    if (entry.prepared->tier()) n += entry.prepared->tier()->fallback_call();
-  return n;
-}
-
-std::uint64_t ModuleCache::jit_fallback_other() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t n = 0;
-  for (const auto& [digest, entry] : entries_)
-    if (entry.prepared->tier()) n += entry.prepared->tier()->fallback_other();
-  return n;
-}
-
-std::size_t ModuleCache::native_code_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t n = 0;
-  for (const auto& [digest, entry] : entries_)
-    if (entry.prepared->tier()) n += entry.prepared->tier()->native_code_bytes();
-  return n;
 }
 
 std::vector<ModuleCache::TierState> ModuleCache::tier_states() const {

@@ -36,6 +36,7 @@
 
 #include "core/runtime.hpp"
 #include "obs/metrics.hpp"
+#include "wasm/jit/tier.hpp"
 
 namespace watz::gateway {
 
@@ -85,8 +86,13 @@ struct AppLease {
 
 class ModuleCache {
  public:
-  ModuleCache(core::WatzRuntime& runtime, ModuleCacheConfig config = {})
-      : runtime_(runtime), config_(config) {}
+  /// `tier_sinks` receives the tier metric flushes of every measurement
+  /// this cache prepares (registry-owned, fleet-wide counters that must
+  /// outlive the cache; unset sinks are skipped). They outlive each module
+  /// the cache evicts, so the fleet totals never drop.
+  ModuleCache(core::WatzRuntime& runtime, ModuleCacheConfig config = {},
+              wasm::jit::TierSinks tier_sinks = {})
+      : runtime_(runtime), config_(config), tier_sinks_(tier_sinks) {}
 
   /// Acquires a ready instance for `measurement`, bound to `monitor` (a
   /// sandbox slot's; nullptr = the device's primary monitor). Pool hit:
@@ -125,53 +131,19 @@ class ModuleCache {
   /// compiler. Returns the number of functions tiered up by this sweep.
   std::size_t sweep_tier_compiles();
 
-  /// Routes the tier metric flushes of every cached — and every future —
-  /// measurement into registry-owned instruments (fleet-wide counters; the
-  /// sinks must outlive the cache). Unset sinks are skipped. The trailing
-  /// four split `fallback_ops` by thunk class so remaining coverage holes
-  /// stay visible per class on the STATS wire.
-  void bind_tier_metrics(obs::Counter* compiles, obs::Counter* entries,
-                         obs::Counter* fallback_ops, obs::Histogram* compile_ns,
-                         obs::Counter* fallback_float = nullptr,
-                         obs::Counter* fallback_conv = nullptr,
-                         obs::Counter* fallback_call = nullptr,
-                         obs::Counter* fallback_other = nullptr);
-
   bool contains(const crypto::Sha256Digest& measurement) const {
     std::lock_guard<std::mutex> lock(mu_);
     return entries_.contains(measurement);
   }
 
-  /// Instances of `measurement` currently checked out across all slots.
-  std::uint32_t live_leases(const crypto::Sha256Digest& measurement) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = entries_.find(measurement);
-    return it == entries_.end() ? 0 : it->second.live;
-  }
-
   std::size_t charged_bytes() const noexcept {
     return static_cast<std::size_t>(charged_bytes_.get());
-  }
-  std::size_t cached_modules() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return entries_.size();
   }
   std::uint64_t hits() const noexcept { return hits_.get(); }
   std::uint64_t misses() const noexcept { return misses_.get(); }
   std::uint64_t evictions() const noexcept { return evictions_.get(); }
   std::uint64_t pool_hits() const noexcept { return pool_hits_.get(); }
   std::uint64_t prewarms() const noexcept { return prewarms_.get(); }
-
-  /// Tiering aggregates over the measurements currently cached (evicted
-  /// modules' counts live on only in the bound registry sinks).
-  std::uint64_t tier_up_compiles() const;
-  std::uint64_t native_entries() const;
-  std::uint64_t jit_fallback_ops() const;
-  std::uint64_t jit_fallback_float() const;
-  std::uint64_t jit_fallback_conv() const;
-  std::uint64_t jit_fallback_call() const;
-  std::uint64_t jit_fallback_other() const;
-  std::size_t native_code_bytes() const;
 
   /// The cache's own metric instances, exposed so a gateway can link them
   /// into its obs::Registry under device-scoped names (the cache stays the
@@ -209,9 +181,19 @@ class ModuleCache {
     std::uint32_t live = 0;
   };
 
+  using Entries = std::map<crypto::Sha256Digest, Entry>;
+
   std::size_t entry_bytes(const Entry& entry) const {
     return entry.prepared->code_bytes() + entry.pooled_bytes;
   }
+
+  /// The Loading phase for an uncached measurement: prepares `binary` onto
+  /// `monitor`, checks it hashes to `measurement`, evicts LRU entries to
+  /// fit its code and retains it with its tier bound to the cache's sinks.
+  /// Caller holds mu_.
+  Result<Entries::iterator> insert(const crypto::Sha256Digest& measurement,
+                                   ByteView binary, wasm::ExecMode mode,
+                                   tz::SecureMonitor* monitor);
 
   /// Evicts LRU entries (sparing `keep` and anything live in a slot)
   /// until `incoming` more bytes fit the budget. Best effort: stops when
@@ -220,8 +202,11 @@ class ModuleCache {
 
   core::WatzRuntime& runtime_;
   ModuleCacheConfig config_;
-  mutable std::mutex mu_;  // guards entries_, tick_ and the tier sinks
-  std::map<crypto::Sha256Digest, Entry> entries_;
+  /// Every TierSet this cache prepares flushes through a pointer to this
+  /// copy; no tier runs past the cache, as no lease may outlive it.
+  const wasm::jit::TierSinks tier_sinks_;
+  mutable std::mutex mu_;  // guards entries_ and tick_
+  Entries entries_;
   std::uint64_t tick_ = 0;
   obs::Gauge charged_bytes_;
   obs::Counter hits_;
@@ -229,14 +214,6 @@ class ModuleCache {
   obs::Counter evictions_;
   obs::Counter pool_hits_;
   obs::Counter prewarms_;
-  obs::Counter* tier_compiles_sink_ = nullptr;
-  obs::Counter* tier_entries_sink_ = nullptr;
-  obs::Counter* tier_fallback_sink_ = nullptr;
-  obs::Counter* tier_fallback_float_sink_ = nullptr;
-  obs::Counter* tier_fallback_conv_sink_ = nullptr;
-  obs::Counter* tier_fallback_call_sink_ = nullptr;
-  obs::Counter* tier_fallback_other_sink_ = nullptr;
-  obs::Histogram* tier_compile_ns_sink_ = nullptr;
 };
 
 inline void AppLease::drop_pin() noexcept {

@@ -549,10 +549,7 @@ Bytes GatewayStats::encode() const {
   put_u64le(out, tier_up_compiles);
   put_u64le(out, native_entries);
   put_u64le(out, jit_fallback_ops);
-  put_u64le(out, jit_fallback_float);
-  put_u64le(out, jit_fallback_conv);
   put_u64le(out, jit_fallback_call);
-  put_u64le(out, jit_fallback_other);
   put_u64le(out, invoke_memo_hits);
   put_u64le(out, migrations);
   put_u64le(out, prewarm_prepares);
@@ -632,9 +629,7 @@ Result<GatewayStats> GatewayStats::decode(ByteView data) {
         &stats.queue_full_rejections, &stats.deduped_lanes,
         &stats.evidence_renewals, &stats.tier_up_compiles,
         &stats.native_entries, &stats.jit_fallback_ops,
-        &stats.jit_fallback_float, &stats.jit_fallback_conv,
-        &stats.jit_fallback_call, &stats.jit_fallback_other,
-        &stats.invoke_memo_hits, &stats.migrations, &stats.prewarm_prepares,
+        &stats.jit_fallback_call, &stats.invoke_memo_hits, &stats.migrations, &stats.prewarm_prepares,
         &stats.queue_delay_p50_ns, &stats.queue_delay_p90_ns,
         &stats.queue_delay_p99_ns}) {
     auto v = read_u64(r);

@@ -368,15 +368,11 @@ struct GatewayStats {
   /// instead of the AOT interpreter stream.
   std::uint64_t native_entries = 0;
   /// Opcodes executed through the JIT's per-opcode fallback thunks
-  /// rather than inline native code, plus the per-class split (float
-  /// arith/cmp, conversions, other numerics). Call/call_indirect helper
-  /// dispatches are counted separately in jit_fallback_call and are NOT
-  /// part of jit_fallback_ops — dispatch is expected, not a coverage hole.
+  /// rather than inline native code. Call/call_indirect helper dispatches
+  /// are counted separately in jit_fallback_call and are NOT part of
+  /// jit_fallback_ops — dispatch is expected, not a coverage hole.
   std::uint64_t jit_fallback_ops = 0;
-  std::uint64_t jit_fallback_float = 0;
-  std::uint64_t jit_fallback_conv = 0;
   std::uint64_t jit_fallback_call = 0;
-  std::uint64_t jit_fallback_other = 0;
   /// Invoke lanes answered from the short-TTL result memo without
   /// entering a sandbox: twins riding a
   /// recent execution, and retries whose first attempt executed but lost

@@ -183,21 +183,27 @@ void ShardedVerifier::set_policy(const VerifierPolicy& policy) {
 
 Result<Bytes> ShardedVerifier::handle(std::uint64_t conn_id, ByteView message) {
   if (is_batch_frame(message)) return handle_batch(conn_id, message);
-  const std::size_t shard = route_session(conn_id, is_msg0(message));
+  return handle_on_shard(route_session(conn_id, is_msg0(message)), conn_id,
+                         message);
+}
+
+Result<Bytes> ShardedVerifier::handle_on_shard(std::size_t shard,
+                                               std::uint64_t session_id,
+                                               ByteView frame) {
   // msg2 carries the evidence: the shard's appraisal is the expensive leg
   // of a handshake, so it gets its own span (detail = shard index) when a
   // lazy handshake runs on a traced lane's thread.
   std::optional<obs::ScopedSpan> appraise_span;
-  if (is_msg2(message))
+  if (is_msg2(frame))
     appraise_span.emplace(obs::Stage::RaAppraise,
                           static_cast<std::uint32_t>(shard));
-  auto reply = shards_[shard]->handle(conn_id, message,
+  auto reply = shards_[shard]->handle(session_id, frame,
                                       config_.appraisal_latency_ns);
   appraise_span.reset();
   // A handshake is over once its msg2 is answered (msg3 or rejection) —
   // and a rejected msg0 never opened one. Either way the shard's depth
   // drops; the sticky mapping survives until the connection sweep.
-  if (is_msg2(message) || !reply.ok()) finish_session(conn_id);
+  if (is_msg2(frame) || !reply.ok()) finish_session(session_id);
   return reply;
 }
 
@@ -241,9 +247,7 @@ Result<Bytes> ShardedVerifier::handle_batch(std::uint64_t conn_id, ByteView mess
   std::vector<BatchReplyItem> replies(items->size());
   const auto run_group = [&](std::size_t shard, const std::vector<Pending>& group) {
     for (const Pending& pending : group) {
-      auto reply = shards_[shard]->handle(pending.id, pending.item->frame,
-                                          config_.appraisal_latency_ns);
-      if (is_msg2(pending.item->frame) || !reply.ok()) finish_session(pending.id);
+      auto reply = handle_on_shard(shard, pending.id, pending.item->frame);
       BatchReplyItem out;
       out.lane = pending.item->lane;
       if (reply.ok()) {

@@ -147,6 +147,11 @@ class ShardedVerifier {
 
  private:
   Result<Bytes> handle_batch(std::uint64_t conn_id, ByteView message);
+  /// Runs one plain protocol frame of a routed session on its shard (an
+  /// RaAppraise span around a msg2's appraisal) and retires the route's
+  /// depth once the handshake is over.
+  Result<Bytes> handle_on_shard(std::size_t shard, std::uint64_t session_id,
+                                ByteView frame);
 
   /// Routes one protocol frame's session: a sticky table hit wins; a msg0
   /// opens a new route on the least-deep shard (depth routing) or the hash

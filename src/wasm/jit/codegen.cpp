@@ -101,14 +101,11 @@ static_assert(offsetof(JitContext, globals) == 48);
 static_assert(offsetof(JitContext, depth) == 64);
 static_assert(offsetof(JitContext, trap_code) == 72);
 static_assert(offsetof(JitContext, fallback_ops) == 80);
-static_assert(offsetof(JitContext, fallback_float) == 112);
-static_assert(offsetof(JitContext, fallback_conv) == 120);
-static_assert(offsetof(JitContext, fallback_other) == 128);
-static_assert(offsetof(JitContext, fallback_call) == 136);
-static_assert(offsetof(JitContext, trap_aux) == 144);
-static_assert(offsetof(JitContext, stack_size) == 152);
-static_assert(offsetof(JitContext, entries) == 160);
-static_assert(offsetof(JitContext, native_calls) == 168);
+static_assert(offsetof(JitContext, fallback_call) == 112);
+static_assert(offsetof(JitContext, trap_aux) == 120);
+static_assert(offsetof(JitContext, stack_size) == 128);
+static_assert(offsetof(JitContext, entries) == 136);
+static_assert(offsetof(JitContext, native_calls) == 144);
 static_assert(sizeof(GlobalSlot) == 16);
 static_assert(offsetof(GlobalSlot, bits) == 8);
 // The entry table is read with a plain 8-byte load (acquire on x86-64).
@@ -122,10 +119,10 @@ constexpr std::int32_t kCtxBase = 16;
 constexpr std::int32_t kCtxGlobals = 48;
 constexpr std::int32_t kCtxDepth = 64;
 constexpr std::int32_t kCtxTrapCode = 72;
-constexpr std::int32_t kCtxTrapAux = 144;
-constexpr std::int32_t kCtxStackSize = 152;
-constexpr std::int32_t kCtxEntries = 160;
-constexpr std::int32_t kCtxNativeCalls = 168;
+constexpr std::int32_t kCtxTrapAux = 120;
+constexpr std::int32_t kCtxStackSize = 128;
+constexpr std::int32_t kCtxEntries = 136;
+constexpr std::int32_t kCtxNativeCalls = 144;
 
 std::uint64_t f64_bits(double v) {
   std::uint64_t b;

@@ -37,19 +37,6 @@ inline void record_trap(JitContext* ctx, const TrapException& t) {
   *ctx->trap_msg = t.message;
 }
 
-/// Which per-class counter a thunked opcode charges: the split keeps the
-/// remaining coverage holes visible per class as the lowered core widens.
-inline std::uint64_t* fallback_class(JitContext* ctx, std::uint32_t op) {
-  if ((op >= kF32Eq && op <= kF64Ge) ||
-      (op >= kF32Abs && op <= kF32Copysign) ||
-      (op >= kF64Abs && op <= kF64Copysign))
-    return &ctx->fallback_float;
-  if ((op >= kI32WrapI64 && op <= kI64Extend32S) ||
-      (op >= kInstrTruncSatBase && op < kInstrTruncSatBase + 8))
-    return &ctx->fallback_conv;
-  return &ctx->fallback_other;
-}
-
 /// The wasm name of a trapping truncation opcode, for rebuilding the
 /// interpreter's exact trap message.
 inline const char* trunc_op_name(std::int64_t op) {
@@ -117,7 +104,6 @@ void jit_helper_fallback(JitContext* ctx, std::uint32_t op) {
   }
   ctx->sp = sp;
   ++ctx->fallback_ops;
-  ++*fallback_class(ctx, op);
   // exec_numeric never resizes the stack or touches memory; the pinned
   // registers stay valid, but keep the context consistent regardless.
 }
@@ -208,10 +194,7 @@ void exec_call_native(Instance& inst, TierSet& tier, const void* entry,
   ctx.entries = tier.entry_table();
 
   reinterpret_cast<NativeFn>(reinterpret_cast<std::uintptr_t>(entry))(&ctx);
-  tier.count_native_entries(1 + ctx.native_calls);
-  tier.add_fallback_ops(ctx.fallback_ops);
-  tier.add_fallback_classes(ctx.fallback_float, ctx.fallback_conv,
-                            ctx.fallback_call, ctx.fallback_other);
+  tier.record_exit(ctx);
 
   switch (ctx.trap_code) {
     case kTrapNone:

@@ -94,19 +94,15 @@ struct JitContext {
   TierSet* tier = nullptr;              // 88: nested tiered dispatch
   Memory* memory = nullptr;             // 96
   std::string* trap_msg = nullptr;      // 104: kTrapCustom message
-  // Per-class thunk counters (fallback_ops = float + conv + other).
   // fallback_call counts helper call dispatches only (callee not compiled
   // yet, host imports, call_indirect); direct calls land in native_calls.
-  std::uint64_t fallback_float = 0;     // 112: float arith/cmp still thunked
-  std::uint64_t fallback_conv = 0;      // 120: conversions still thunked
-  std::uint64_t fallback_other = 0;     // 128: clz/ctz/popcnt/...
-  std::uint64_t fallback_call = 0;      // 136: call/call_indirect helpers
-  std::int64_t trap_aux = 0;            // 144: opcode behind kTrapTrunc*
-  std::uint64_t stack_size = 0;         // 152: operand-stack capacity (slots)
-  /// 160: TierSet entry table, indexed by module-local function index;
+  std::uint64_t fallback_call = 0;      // 112: call/call_indirect helpers
+  std::int64_t trap_aux = 0;            // 120: opcode behind kTrapTrunc*
+  std::uint64_t stack_size = 0;         // 128: operand-stack capacity (slots)
+  /// 136: TierSet entry table, indexed by module-local function index;
   /// null entries are still on the AOT stream.
   const std::atomic<const void*>* entries = nullptr;
-  std::uint64_t native_calls = 0;       // 168: direct native-to-native calls
+  std::uint64_t native_calls = 0;       // 144: direct native-to-native calls
 };
 
 using NativeFn = void (*)(JitContext*);

@@ -19,7 +19,7 @@ TierSet::~TierSet() {
 }
 
 void TierSet::note_call(std::uint32_t index) noexcept {
-  if (!config_.enabled || index >= compiled_.size()) return;
+  if (index >= compiled_.size()) return;
   TierFunc& f = funcs_[index];
   if (f.requested.load(std::memory_order_relaxed)) return;
   if (f.calls.fetch_add(1, std::memory_order_relaxed) + 1 < config_.hot_threshold)
@@ -44,7 +44,6 @@ std::size_t TierSet::compile_pending() {
 }
 
 std::size_t TierSet::compile_all() {
-  if (!config_.enabled) return 0;
   std::lock_guard<std::mutex> lock(compile_mu_);
   std::size_t done = 0;
   for (std::uint32_t index = 0; index < compiled_.size(); ++index) {
@@ -82,64 +81,30 @@ bool TierSet::compile_one(std::uint32_t index) {
   code_bytes_.fetch_add(image->bytes(), std::memory_order_relaxed);
   const std::uint64_t elapsed_ns = hw::monotonic_ns() - start_ns;
   compiles_total_.fetch_add(1, std::memory_order_relaxed);
-  if (auto* c = sink_compiles_.load(std::memory_order_relaxed)) c->add(1);
-  if (auto* h = sink_compile_ns_.load(std::memory_order_relaxed))
-    h->record(elapsed_ns);
+  if (const TierSinks* sinks = sinks_.load(std::memory_order_acquire)) {
+    if (sinks->compiles) sinks->compiles->add(1);
+    if (sinks->compile_ns) sinks->compile_ns->record(elapsed_ns);
+  }
   const void* entry = image->entry();
   images_.push_back(std::move(image));
   entries_[index].store(entry, std::memory_order_release);
   return true;
 }
 
-void TierSet::bind_metrics(obs::Counter* compiles, obs::Counter* native_entries,
-                           obs::Counter* fallback_ops,
-                           obs::Histogram* compile_ns,
-                           ClassSinks classes) noexcept {
-  sink_compiles_.store(compiles, std::memory_order_relaxed);
-  sink_entries_.store(native_entries, std::memory_order_relaxed);
-  sink_fallback_.store(fallback_ops, std::memory_order_relaxed);
-  sink_fallback_float_.store(classes.float_ops, std::memory_order_relaxed);
-  sink_fallback_conv_.store(classes.conv_ops, std::memory_order_relaxed);
-  sink_fallback_call_.store(classes.call_ops, std::memory_order_relaxed);
-  sink_fallback_other_.store(classes.other_ops, std::memory_order_relaxed);
-  sink_compile_ns_.store(compile_ns, std::memory_order_relaxed);
-}
-
-void TierSet::count_native_entries(std::uint64_t n) noexcept {
-  entries_total_.fetch_add(n, std::memory_order_relaxed);
-  if (auto* c = sink_entries_.load(std::memory_order_relaxed)) c->add(n);
-}
-
-void TierSet::add_fallback_ops(std::uint64_t n) noexcept {
-  if (n == 0) return;
-  fallback_total_.fetch_add(n, std::memory_order_relaxed);
-  if (auto* c = sink_fallback_.load(std::memory_order_relaxed)) c->add(n);
-}
-
-void TierSet::add_fallback_classes(std::uint64_t float_ops,
-                                   std::uint64_t conv_ops,
-                                   std::uint64_t call_ops,
-                                   std::uint64_t other_ops) noexcept {
-  if (float_ops != 0) {
-    fallback_float_.fetch_add(float_ops, std::memory_order_relaxed);
-    if (auto* c = sink_fallback_float_.load(std::memory_order_relaxed))
-      c->add(float_ops);
-  }
-  if (conv_ops != 0) {
-    fallback_conv_.fetch_add(conv_ops, std::memory_order_relaxed);
-    if (auto* c = sink_fallback_conv_.load(std::memory_order_relaxed))
-      c->add(conv_ops);
-  }
-  if (call_ops != 0) {
-    fallback_call_.fetch_add(call_ops, std::memory_order_relaxed);
-    if (auto* c = sink_fallback_call_.load(std::memory_order_relaxed))
-      c->add(call_ops);
-  }
-  if (other_ops != 0) {
-    fallback_other_.fetch_add(other_ops, std::memory_order_relaxed);
-    if (auto* c = sink_fallback_other_.load(std::memory_order_relaxed))
-      c->add(other_ops);
-  }
+void TierSet::record_exit(const JitContext& ctx) noexcept {
+  const std::uint64_t entries = 1 + ctx.native_calls;
+  entries_total_.fetch_add(entries, std::memory_order_relaxed);
+  if (ctx.fallback_ops != 0)
+    fallback_total_.fetch_add(ctx.fallback_ops, std::memory_order_relaxed);
+  if (ctx.fallback_call != 0)
+    fallback_call_.fetch_add(ctx.fallback_call, std::memory_order_relaxed);
+  const TierSinks* sinks = sinks_.load(std::memory_order_acquire);
+  if (sinks == nullptr) return;
+  if (sinks->native_entries) sinks->native_entries->add(entries);
+  if (ctx.fallback_ops != 0 && sinks->fallback_ops)
+    sinks->fallback_ops->add(ctx.fallback_ops);
+  if (ctx.fallback_call != 0 && sinks->fallback_call)
+    sinks->fallback_call->add(ctx.fallback_call);
 }
 
 }  // namespace watz::wasm::jit

@@ -29,7 +29,6 @@
 namespace watz::wasm::jit {
 
 struct TierConfig {
-  bool enabled = true;
   /// Calls to one function before it is queued for native compilation.
   std::uint32_t hot_threshold = 64;
   /// Secure-heap accounting for executable pages: charge returns false when
@@ -39,16 +38,14 @@ struct TierConfig {
   std::function<void(std::size_t)> release_code;
 };
 
-/// Per-class fallback sinks: the split of `wasm.jit_fallback_ops` that
-/// keeps remaining thunk hotspots visible as the lowered core widens.
-/// (Namespace scope, not nested: a nested class's default member
-/// initializers are parsed only once the enclosing class is complete,
-/// which would break the `= {}` default argument on bind_metrics.)
-struct ClassSinks {
-  obs::Counter* float_ops = nullptr;
-  obs::Counter* conv_ops = nullptr;
-  obs::Counter* call_ops = nullptr;
-  obs::Counter* other_ops = nullptr;
+/// Registry-owned instruments a TierSet's metric flushes feed (fleet-wide
+/// counters). Null members are skipped; local totals always accumulate.
+struct TierSinks {
+  obs::Counter* compiles = nullptr;
+  obs::Counter* native_entries = nullptr;
+  obs::Counter* fallback_ops = nullptr;
+  obs::Counter* fallback_call = nullptr;
+  obs::Histogram* compile_ns = nullptr;
 };
 
 class TierSet {
@@ -84,19 +81,16 @@ class TierSet {
   /// Control plane / tests: force-compile every eligible function now.
   std::size_t compile_all();
 
-  /// Points the metric flushes at registry-owned instruments (fleet-wide
-  /// counters). Unbound sinks are skipped; local totals always accumulate.
-  void bind_metrics(obs::Counter* compiles, obs::Counter* native_entries,
-                    obs::Counter* fallback_ops, obs::Histogram* compile_ns,
-                    ClassSinks classes = {}) noexcept;
+  /// Points the metric flushes at `sinks` (null = unbound). The sinks must
+  /// outlive every flush: the owner of the TierSet keeps them.
+  void bind_metrics(const TierSinks* sinks) noexcept {
+    sinks_.store(sinks, std::memory_order_release);
+  }
 
-  /// Called by the native entry thunk at frame exit: the entry itself plus
-  /// the direct native-to-native calls made under it.
-  void count_native_entries(std::uint64_t n) noexcept;
-  void add_fallback_ops(std::uint64_t n) noexcept;
-  void add_fallback_classes(std::uint64_t float_ops, std::uint64_t conv_ops,
-                            std::uint64_t call_ops,
-                            std::uint64_t other_ops) noexcept;
+  /// Called by the native entry thunk at frame exit: flushes the frame's
+  /// counts — the entry itself plus the direct native-to-native calls made
+  /// under it, thunk runs and helper call dispatches — in one record.
+  void record_exit(const JitContext& ctx) noexcept;
 
   std::uint64_t tier_up_compiles() const noexcept {
     return compiles_total_.load(std::memory_order_relaxed);
@@ -107,17 +101,8 @@ class TierSet {
   std::uint64_t fallback_ops() const noexcept {
     return fallback_total_.load(std::memory_order_relaxed);
   }
-  std::uint64_t fallback_float() const noexcept {
-    return fallback_float_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t fallback_conv() const noexcept {
-    return fallback_conv_.load(std::memory_order_relaxed);
-  }
   std::uint64_t fallback_call() const noexcept {
     return fallback_call_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t fallback_other() const noexcept {
-    return fallback_other_.load(std::memory_order_relaxed);
   }
   /// Coverage diagnostics: how many functions codegen refused, and the
   /// opcode that stopped the most recent refusal (0xffffffff while no
@@ -134,7 +119,6 @@ class TierSet {
     return code_bytes_.load(std::memory_order_relaxed);
   }
   std::uint32_t hot_threshold() const noexcept { return config_.hot_threshold; }
-  bool enabled() const noexcept { return config_.enabled; }
 
   /// Snapshot accessors for the STATS tier-state surface (relaxed scans
   /// over the per-function atomics; approximate under concurrent calls,
@@ -182,21 +166,11 @@ class TierSet {
   std::atomic<std::uint64_t> compiles_total_{0};
   std::atomic<std::uint64_t> entries_total_{0};
   std::atomic<std::uint64_t> fallback_total_{0};
-  std::atomic<std::uint64_t> fallback_float_{0};
-  std::atomic<std::uint64_t> fallback_conv_{0};
   std::atomic<std::uint64_t> fallback_call_{0};
-  std::atomic<std::uint64_t> fallback_other_{0};
   std::atomic<std::uint64_t> refused_functions_{0};
   std::atomic<std::uint32_t> last_refused_op_{0xffffffff};
 
-  std::atomic<obs::Counter*> sink_compiles_{nullptr};
-  std::atomic<obs::Counter*> sink_entries_{nullptr};
-  std::atomic<obs::Counter*> sink_fallback_{nullptr};
-  std::atomic<obs::Counter*> sink_fallback_float_{nullptr};
-  std::atomic<obs::Counter*> sink_fallback_conv_{nullptr};
-  std::atomic<obs::Counter*> sink_fallback_call_{nullptr};
-  std::atomic<obs::Counter*> sink_fallback_other_{nullptr};
-  std::atomic<obs::Histogram*> sink_compile_ns_{nullptr};
+  std::atomic<const TierSinks*> sinks_{nullptr};
 };
 
 }  // namespace watz::wasm::jit

@@ -264,6 +264,39 @@ TEST_F(GatewaySingleDeviceTest, EvidenceTtlForcesReattestation) {
       << "expired evidence must be re-collected";
 }
 
+TEST_F(GatewaySingleDeviceTest, TracedLazyHandshakeRecordsAppraisalSpan) {
+  // Instant evidence expiry: every invoke pays a lazy handshake on its
+  // lane's critical path, and every invoke is traced.
+  GatewayConfig config;
+  config.hostname = "gateway-traced-ra";
+  config.port = 7110;
+  config.ra_port = 7111;
+  config.session_policy.evidence_ttl_ns = 1;
+  config.trace_sample_n = 1;
+  Gateway gateway(fabric_, config, to_bytes("gw-traced-ra-identity"));
+  ASSERT_TRUE(gateway.start().ok());
+  ASSERT_TRUE(gateway.add_device(*devices_[0]).ok());
+  GatewayClient client(fabric_);
+  ASSERT_TRUE(client.connect(config.hostname, config.port).ok());
+
+  auto attach = client.attach("tenant-a");
+  ASSERT_TRUE(attach.ok());
+  auto load = client.load_module(attach->session_id, adder_app());
+  ASSERT_TRUE(load.ok());
+  gateway.span_sink().drain();
+  auto r = client.invoke(add_request(attach->session_id, load->measurement, 1, 1));
+  ASSERT_TRUE(r.ok()) << r.error();
+  ASSERT_EQ(r->ra_exchanges, kRaExchangesPerHandshake);
+  ASSERT_NE(r->trace_id, 0u);
+  std::multiset<obs::Stage> stages;
+  for (const obs::SpanRecord& span : gateway.span_sink().drain())
+    if (span.trace_id == r->trace_id) stages.insert(span.stage);
+  // The handshake as a whole, and the verifier shard's appraisal of the
+  // lane's evidence inside it.
+  EXPECT_EQ(stages.count(obs::Stage::Ra), 1u);
+  EXPECT_EQ(stages.count(obs::Stage::RaAppraise), 1u);
+}
+
 TEST_F(GatewayTest, InvokeDispatchesAcrossDevices) {
   auto attach = client_->attach("tenant-a");
   ASSERT_TRUE(attach.ok());

@@ -1,8 +1,9 @@
 // Gateway-level native tiering + invoke memo tests: heat counters trip
 // background compilation through Gateway::sweep_tier_compiles, native
 // entries are inherited by warm pool checkouts, the tiering counters ride
-// the STATS wire frame, and the invoke result memo answers a twin async
-// invoke without entering a sandbox.
+// the STATS wire frame and outlive the modules the cache evicts, and the
+// invoke result memo answers a twin async invoke without entering a
+// sandbox.
 //
 // Every native-specific assertion is gated on wasm::jit::jit_available():
 // under WATZ_DISABLE_JIT (the CI fallback leg) or on non-x86-64 hosts the
@@ -30,8 +31,9 @@ core::DeviceConfig device_config(const std::string& hostname, std::uint8_t id) {
 }
 
 /// Guest exporting work(n) -> sum(1..n): an integer loop the baseline JIT
-/// lowers entirely to native code (no fallback thunks).
-Bytes compute_app() {
+/// lowers entirely to native code (no fallback thunks). A non-zero `salt`
+/// adds an export returning it, for a second measurement of the same loop.
+Bytes compute_app(std::int32_t salt = 0) {
   wasm::ModuleBuilder b;
   b.add_memory(1);
   const auto f = b.add_function(
@@ -49,6 +51,13 @@ Bytes compute_app() {
   e.local_get(2);
   b.set_body(f, e.bytes());
   b.export_function("work", f);
+  if (salt != 0) {
+    const auto g = b.add_function({{}, {wasm::ValType::I32}});
+    wasm::CodeEmitter s;
+    s.i32_const(salt);
+    b.set_body(g, s.bytes());
+    b.export_function("salt", g);
+  }
   return b.build();
 }
 
@@ -78,9 +87,13 @@ class GatewayTieringTest : public ::testing::Test {
   }
 
   InvokeRequest work_request(std::int32_t n) {
+    return work_request(measurement_, n);
+  }
+  InvokeRequest work_request(const crypto::Sha256Digest& measurement,
+                             std::int32_t n) {
     InvokeRequest req;
     req.session_id = session_;
-    req.measurement = measurement_;
+    req.measurement = measurement;
     req.entry = "work";
     req.args = {wasm::Value::from_i32(n)};
     req.heap_bytes = 1 << 20;
@@ -153,6 +166,7 @@ TEST_F(GatewayTieringTest, TieringCountersRideTheStatsWire) {
   EXPECT_EQ(wire->tier_up_compiles, local.tier_up_compiles);
   EXPECT_EQ(wire->native_entries, local.native_entries);
   EXPECT_EQ(wire->jit_fallback_ops, local.jit_fallback_ops);
+  EXPECT_EQ(wire->jit_fallback_call, local.jit_fallback_call);
   EXPECT_EQ(wire->invoke_memo_hits, local.invoke_memo_hits);
   EXPECT_EQ(wire->stage_jit_compile.count, local.stage_jit_compile.count);
   if (wasm::jit::jit_available()) {
@@ -164,6 +178,48 @@ TEST_F(GatewayTieringTest, TieringCountersRideTheStatsWire) {
     EXPECT_EQ(plain->stage_jit_compile.count, 0u);
     EXPECT_EQ(plain->tier_up_compiles, wire->tier_up_compiles);
   }
+}
+
+TEST_F(GatewayTieringTest, TierCountersSurviveEviction) {
+  GatewayConfig config;
+  config.jit_hot_calls = 1;
+  config.renewal_interval_ns = 3'600'000'000'000ull;  // sweeps driven below
+  // Room for one parked 1 MiB guest heap plus code, not two: parking B's
+  // instance must evict A whole.
+  config.cache.budget_bytes = 3 << 19;
+  SetUpFleet(config);
+  AttachAndLoad();
+
+  // Tier A up and run it on its native entry.
+  ASSERT_TRUE(client_->invoke(work_request(100)).ok());
+  gateway_->sweep_tier_compiles();
+  auto hot = client_->invoke(work_request(100));
+  ASSERT_TRUE(hot.ok()) << hot.error();
+  EXPECT_EQ(hot->results.front().i32(), 5050);
+  const GatewayStats before = gateway_->stats(true);
+  ASSERT_EQ(before.devices.size(), 1u);
+  ASSERT_EQ(before.devices[0].modules.size(), 1u);
+  if (wasm::jit::jit_available()) {
+    EXPECT_GT(before.tier_up_compiles, 0u);
+    EXPECT_GT(before.native_entries, 0u);
+  }
+
+  auto load_b = client_->load_module(session_, compute_app(/*salt=*/7));
+  ASSERT_TRUE(load_b.ok()) << load_b.error();
+  ASSERT_NE(load_b->measurement, measurement_);
+  auto b = client_->invoke(work_request(load_b->measurement, 10));
+  ASSERT_TRUE(b.ok()) << b.error();
+  EXPECT_EQ(b->results.front().i32(), 55);
+
+  // A is gone from the cache, its TierSet with it...
+  const GatewayStats after = gateway_->stats(true);
+  ASSERT_EQ(after.devices.size(), 1u);
+  EXPECT_GT(after.devices[0].cache_evictions, before.devices[0].cache_evictions);
+  for (const ModuleTierStats& m : after.devices[0].modules)
+    EXPECT_NE(m.measurement, measurement_) << "A should have been evicted";
+  // ...but the fleet counters it flushed into are registry-owned.
+  EXPECT_GE(after.tier_up_compiles, before.tier_up_compiles);
+  EXPECT_GE(after.native_entries, before.native_entries);
 }
 
 TEST_F(GatewayTieringTest, AsyncMemoServesTwinWithoutExecuting) {

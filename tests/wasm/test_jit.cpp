@@ -515,10 +515,7 @@ TEST(JitCodegen, FloatOpsLowerNatively) {
   check_both(t, "f", {Value::from_f64(qnan), Value::from_f64(1.0)});
   check_both(t, "g", {Value::from_f32(3.5f), Value::from_f32(-0.25f)});
   check_both(t, "g", {Value::from_f32(-1.0f), Value::from_f32(0.0f)});  // sqrt(<0)
-  if (t.tier) {
-    EXPECT_EQ(t.tier->fallback_ops(), 0u);
-    EXPECT_EQ(t.tier->fallback_float(), 0u);
-  }
+  if (t.tier) EXPECT_EQ(t.tier->fallback_ops(), 0u);
 }
 
 TEST(JitCodegen, FloatMinMaxNanAndSignedZero) {
@@ -556,7 +553,7 @@ TEST(JitCodegen, FloatMinMaxNanAndSignedZero) {
   snan.bits = 0x7ff0000000000001ull;  // f64 sNaN
   check_both(t, "min64", {snan, Value::from_f64(2.0)});
   check_both(t, "max64", {Value::from_f64(2.0), snan});
-  if (t.tier) EXPECT_EQ(t.tier->fallback_float(), 0u);
+  if (t.tier) EXPECT_EQ(t.tier->fallback_ops(), 0u);
 }
 
 TEST(JitCodegen, FloatComparisonsUnordered) {
@@ -584,7 +581,7 @@ TEST(JitCodegen, FloatComparisonsUnordered) {
     for (const char* name : {"eq", "ne", "lt", "gt", "le", "ge"})
       check_both(t, name, {Value::from_f64(a), Value::from_f64(b)});
   }
-  if (t.tier) EXPECT_EQ(t.tier->fallback_float(), 0u);
+  if (t.tier) EXPECT_EQ(t.tier->fallback_ops(), 0u);
 }
 
 TEST(JitCodegen, FloatAbsNegCopysign) {
@@ -616,7 +613,7 @@ TEST(JitCodegen, FloatAbsNegCopysign) {
   Value payload;
   payload.bits = 0xfff8dead00000001ull;
   check_both(t, "f", {payload, payload});
-  if (t.tier) EXPECT_EQ(t.tier->fallback_float(), 0u);
+  if (t.tier) EXPECT_EQ(t.tier->fallback_ops(), 0u);
 }
 
 TEST(JitCodegen, FloatConversions) {
@@ -660,10 +657,7 @@ TEST(JitCodegen, FloatConversions) {
   nan64.bits = 0x7ff8000000000001ull;
   check_both(t, "bits_fi", {nan64});
   check_both(t, "bits_if", {Value::from_i64(0x7ff8000000000001ll)});
-  if (t.tier) {
-    EXPECT_EQ(t.tier->fallback_float(), 0u);
-    EXPECT_EQ(t.tier->fallback_conv(), 0u);
-  }
+  if (t.tier) EXPECT_EQ(t.tier->fallback_ops(), 0u);
 }
 
 TEST(JitCodegen, TruncTrapsMatchInterpreterMessages) {
@@ -706,7 +700,7 @@ TEST(JitCodegen, TruncTrapsMatchInterpreterMessages) {
               "trap: integer overflow in i64.trunc_f64_u");
     EXPECT_EQ(trap_of(*t.nat, "i64_f32_u", {Value::from_f32(-2.0f)}),
               "trap: integer overflow in i64.trunc_f32_u");
-    EXPECT_EQ(t.tier->fallback_conv(), 0u);
+    EXPECT_EQ(t.tier->fallback_ops(), 0u);
   }
 }
 
@@ -1312,14 +1306,24 @@ TEST(JitTiering, MetricSinksReceiveFlushes) {
   if (!jit::jit_available()) GTEST_SKIP() << "JIT unavailable on this host";
 
   ModuleBuilder mb;
+  mb.add_table(1, 1);
+  const FuncType unop = sig({ValType::F64}, {ValType::F64});
+  const std::uint32_t unop_type = mb.add_type(unop);
   // f64.nearest stays outside the lowered surface (round-to-even needs
   // SSE4.1 roundsd), so it is a stable thunk driver; f64.add lowers inline
   // and must NOT count.
-  auto f = mb.add_function(sig({ValType::F64}, {ValType::F64}));
+  auto f = mb.add_function(unop);
   CodeEmitter ce;
   ce.local_get(0).local_get(0).op(kF64Add).op(kF64Nearest);
   mb.set_body(f, ce.bytes());
-  mb.export_function("f", f);
+  mb.add_element(0, {f});
+  // g(x) = table[0](x): one helper call dispatch, landing on f's native
+  // entry through the entry thunk.
+  auto g = mb.add_function(unop);
+  CodeEmitter cg;
+  cg.local_get(0).i32_const(0).call_indirect(unop_type);
+  mb.set_body(g, cg.bytes());
+  mb.export_function("g", g);
 
   auto inst = instantiate_aot(mb.build(), no_imports());
   ASSERT_TRUE(inst);
@@ -1327,26 +1331,31 @@ TEST(JitTiering, MetricSinksReceiveFlushes) {
   config.hot_threshold = 1;
   auto tier = std::make_shared<jit::TierSet>(&inst->module(), inst->compiled,
                                              std::move(config));
-  obs::Counter compiles, entries, fallback;
-  obs::Counter fb_float, fb_conv, fb_call, fb_other;
+  obs::Counter compiles, entries, fallback_ops, fallback_call;
   obs::Histogram compile_ns;
-  tier->bind_metrics(&compiles, &entries, &fallback, &compile_ns,
-                     {&fb_float, &fb_conv, &fb_call, &fb_other});
+  const jit::TierSinks sinks{.compiles = &compiles,
+                             .native_entries = &entries,
+                             .fallback_ops = &fallback_ops,
+                             .fallback_call = &fallback_call,
+                             .compile_ns = &compile_ns};
+  tier->bind_metrics(&sinks);
   tier->compile_all();
   inst->tier = tier;
 
-  std::vector<Value> fargs{Value::from_f64(2.5)};
-  auto r = inst->invoke("f", fargs);
+  std::vector<Value> gargs{Value::from_f64(2.5)};
+  auto r = inst->invoke("g", gargs);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ((*r)[0].f64(), 5.0);
-  EXPECT_EQ(compiles.get(), 1u);
-  EXPECT_EQ(compile_ns.count(), 1u);
-  EXPECT_GE(entries.get(), 1u);
-  EXPECT_EQ(fallback.get(), 1u);  // exactly the f64.nearest thunk
-  EXPECT_EQ(fb_float.get(), 1u);  // ...classified as a float op
-  EXPECT_EQ(fb_conv.get(), 0u);
-  EXPECT_EQ(fb_call.get(), 0u);
-  EXPECT_EQ(fb_other.get(), 0u);
+  EXPECT_EQ(compiles.get(), 2u);
+  EXPECT_EQ(compile_ns.count(), 2u);
+  EXPECT_EQ(entries.get(), 2u);        // g, then f via the thunk
+  EXPECT_EQ(fallback_ops.get(), 1u);   // exactly the f64.nearest thunk
+  EXPECT_EQ(fallback_call.get(), 1u);  // exactly the call_indirect helper
+  // The sinks see what the TierSet's own totals see.
+  EXPECT_EQ(tier->tier_up_compiles(), compiles.get());
+  EXPECT_EQ(tier->native_entries(), entries.get());
+  EXPECT_EQ(tier->fallback_ops(), fallback_ops.get());
+  EXPECT_EQ(tier->fallback_call(), fallback_call.get());
 }
 
 TEST(JitTiering, RefusalRecordsOffendingOpcode) {
