@@ -2,79 +2,45 @@
 
 namespace watz {
 
-Result<std::uint8_t> ByteReader::read_u8() {
-  if (pos_ >= data_.size()) return Result<std::uint8_t>::err("unexpected end of data");
-  return data_[pos_++];
-}
+namespace {
 
-Result<std::uint32_t> ByteReader::read_u32le() {
-  if (remaining() < 4) return Result<std::uint32_t>::err("unexpected end of data");
-  const std::uint32_t v = get_u32le(data_.data() + pos_);
-  pos_ += 4;
+template <typename T>
+Result<T> take(ByteReader& r, const char* (ByteReader::*core)(T&)) {
+  T v{};
+  if (const char* e = (r.*core)(v)) return Result<T>::err(e);
   return v;
 }
 
+}  // namespace
+
+Result<std::uint8_t> ByteReader::read_u8() { return take(*this, &ByteReader::take_u8); }
+
+Result<std::uint32_t> ByteReader::read_u32le() {
+  const std::uint8_t* p = nullptr;
+  if (const char* e = take_bytes(4, p)) return Result<std::uint32_t>::err(e);
+  return get_u32le(p);
+}
+
 Result<std::uint32_t> ByteReader::read_uleb32() {
-  std::uint32_t result = 0;
-  for (int shift = 0; shift < 35; shift += 7) {
-    auto b = read_u8();
-    if (!b) return Result<std::uint32_t>::err(b.error());
-    const std::uint8_t byte = *b;
-    if (shift == 28 && (byte & 0x70) != 0)
-      return Result<std::uint32_t>::err("uleb32 overflow");
-    result |= static_cast<std::uint32_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) return result;
-  }
-  return Result<std::uint32_t>::err("uleb32 too long");
+  return take(*this, &ByteReader::take_leb<std::uint32_t>);
 }
 
 Result<std::uint64_t> ByteReader::read_uleb64() {
-  std::uint64_t result = 0;
-  for (int shift = 0; shift < 70; shift += 7) {
-    auto b = read_u8();
-    if (!b) return Result<std::uint64_t>::err(b.error());
-    const std::uint8_t byte = *b;
-    if (shift == 63 && (byte & 0x7e) != 0)
-      return Result<std::uint64_t>::err("uleb64 overflow");
-    result |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) return result;
-  }
-  return Result<std::uint64_t>::err("uleb64 too long");
+  return take(*this, &ByteReader::take_leb<std::uint64_t>);
 }
 
 Result<std::int32_t> ByteReader::read_sleb32() {
-  auto wide = read_sleb64();
-  if (!wide) return Result<std::int32_t>::err(wide.error());
-  const std::int64_t v = *wide;
-  if (v < INT32_MIN || v > INT32_MAX) return Result<std::int32_t>::err("sleb32 overflow");
-  return static_cast<std::int32_t>(v);
+  return take(*this, &ByteReader::take_leb<std::int32_t>);
 }
 
 Result<std::int64_t> ByteReader::read_sleb64() {
-  std::int64_t result = 0;
-  int shift = 0;
-  while (shift < 70) {
-    auto b = read_u8();
-    if (!b) return Result<std::int64_t>::err(b.error());
-    const std::uint8_t byte = *b;
-    result |= static_cast<std::int64_t>(static_cast<std::uint64_t>(byte & 0x7f) << shift);
-    shift += 7;
-    if ((byte & 0x80) == 0) {
-      if (shift < 64 && (byte & 0x40) != 0)
-        // Sign-extension mask built in unsigned space: at shift 63 the
-        // signed form would negate INT64_MIN, which overflows.
-        result |= static_cast<std::int64_t>(~std::uint64_t{0} << shift);
-      return result;
-    }
-  }
-  return Result<std::int64_t>::err("sleb64 too long");
+  return take(*this, &ByteReader::take_leb<std::int64_t>);
 }
 
 Result<ByteView> ByteReader::read_bytes(std::size_t n) {
-  if (remaining() < n) return Result<ByteView>::err("unexpected end of data");
-  ByteView out = data_.subspan(pos_, n);
-  pos_ += n;
-  return out;
+  const std::uint8_t* p = nullptr;
+  if (const char* e = take_bytes(n, p)) return Result<ByteView>::err(e);
+  return ByteView(p, n);
 }
 
 void write_uleb(Bytes& out, std::uint64_t value) {

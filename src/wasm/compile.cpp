@@ -9,25 +9,16 @@
 
 namespace watz::wasm {
 
-Status skip_immediates(ByteReader& r, std::uint8_t op) {
-  auto skip_uleb = [&]() -> Status {
-    auto v = r.read_uleb64();
-    return v.ok() ? Status{} : Status::err(v.error());
-  };
-  auto skip_sleb = [&]() -> Status {
-    auto v = r.read_sleb64();
-    return v.ok() ? Status{} : Status::err(v.error());
-  };
-  auto skip_bytes = [&](std::size_t n) -> Status {
-    auto v = r.read_bytes(n);
-    return v.ok() ? Status{} : Status::err(v.error());
-  };
-
+const char* skip_immediates(ByteReader& r, std::uint8_t op) {
+  std::uint64_t index = 0;
+  std::int64_t constant = 0;
+  std::uint32_t count = 0;
+  const std::uint8_t* raw = nullptr;
   switch (op) {
     case kBlock:
     case kLoop:
     case kIf:
-      return skip_bytes(1);  // block type
+      return r.take_bytes(1, raw);  // block type
     case kBr:
     case kBrIf:
     case kCall:
@@ -36,45 +27,36 @@ Status skip_immediates(ByteReader& r, std::uint8_t op) {
     case kLocalTee:
     case kGlobalGet:
     case kGlobalSet:
-      return skip_uleb();
-    case kBrTable: {
-      auto count = r.read_uleb32();
-      if (!count.ok()) return Status::err(count.error());
-      for (std::uint32_t i = 0; i <= *count; ++i) {
-        const Status st = skip_uleb();
-        if (!st.ok()) return st;
-      }
-      return {};
-    }
-    case kCallIndirect: {
-      Status st = skip_uleb();
-      if (!st.ok()) return st;
-      return skip_bytes(1);
-    }
+      return r.take_leb(index);
+    case kBrTable:
+      if (const char* e = r.take_leb(count)) return e;
+      for (std::uint32_t i = 0; i <= count; ++i)
+        if (const char* e = r.take_leb(index)) return e;
+      return nullptr;
+    case kCallIndirect:
+      if (const char* e = r.take_leb(index)) return e;
+      return r.take_bytes(1, raw);
     case kI32Const:
     case kI64Const:
-      return skip_sleb();
+      return r.take_leb(constant);
     case kF32Const:
-      return skip_bytes(4);
+      return r.take_bytes(4, raw);
     case kF64Const:
-      return skip_bytes(8);
+      return r.take_bytes(8, raw);
     case kMemorySize:
     case kMemoryGrow:
-      return skip_bytes(1);
-    case kPrefixFC: {
-      auto sub = r.read_uleb32();
-      if (!sub.ok()) return Status::err(sub.error());
-      if (*sub == kMemoryCopy) return skip_bytes(2);
-      if (*sub == kMemoryFill) return skip_bytes(1);
-      return {};  // trunc-sat: no immediates
-    }
+      return r.take_bytes(1, raw);
+    case kPrefixFC:
+      if (const char* e = r.take_leb(count)) return e;
+      if (count == kMemoryCopy) return r.take_bytes(2, raw);
+      if (count == kMemoryFill) return r.take_bytes(1, raw);
+      return nullptr;  // trunc-sat: no immediates
     default:
       if (op >= kI32Load && op <= kI64Store32) {
-        const Status st = skip_uleb();
-        if (!st.ok()) return st;
-        return skip_uleb();
+        if (const char* e = r.take_leb(index)) return e;  // alignment
+        return r.take_leb(index);                          // offset
       }
-      return {};  // no immediates
+      return nullptr;  // no immediates
   }
 }
 
@@ -84,9 +66,9 @@ Result<std::size_t> find_block_end(ByteView code, std::size_t pos,
   r.seek(pos);
   int depth = 0;
   while (true) {
-    auto op = r.read_u8();
-    if (!op.ok()) return Result<std::size_t>::err("scan: unterminated block");
-    switch (*op) {
+    std::uint8_t op = 0;
+    if (r.take_u8(op)) return Result<std::size_t>::err("scan: unterminated block");
+    switch (op) {
       case kBlock:
       case kLoop:
       case kIf:
@@ -102,8 +84,7 @@ Result<std::size_t> find_block_end(ByteView code, std::size_t pos,
       default:
         break;
     }
-    const Status st = skip_immediates(r, *op);
-    if (!st.ok()) return Result<std::size_t>::err(st.error());
+    if (const char* e = skip_immediates(r, op)) return Result<std::size_t>::err(e);
   }
 }
 
@@ -229,11 +210,11 @@ class Translator {
                out_.result_arity ? type_.results[0] : kUnknown);
 
     while (!frames_.empty()) {
-      auto op = reader_.read_u8();
-      if (!op.ok()) return Result<CompiledFunc>::err("validate: body ended without end");
+      std::uint8_t op = 0;
+      if (reader_.take_u8(op)) return Result<CompiledFunc>::err("validate: body ended without end");
       const Frame& top = frames_.back();
       live_ = top.live && !top.unreachable;
-      if (!step(*op)) return Result<CompiledFunc>::err(std::move(error_));
+      if (!step(op)) return Result<CompiledFunc>::err(std::move(error_));
     }
     if (!reader_.at_end())
       return Result<CompiledFunc>::err("validate: trailing bytes after end");
@@ -248,20 +229,28 @@ class Translator {
 
   // -- immediates -------------------------------------------------------------
 
-  bool read_u32(std::uint32_t& v) {
-    auto r = reader_.read_uleb32();
-    if (!r.ok()) return fail(r.error());
-    v = *r;
+  /// Reads one LEB128 immediate of type `T` through the reader's core.
+  template <typename T>
+  bool read_leb(T& v) {
+    if (const char* e = reader_.take_leb(v)) return fail(e);
+    return true;
+  }
+
+  /// Reads the single-byte immediate that must be 0 (memory and table
+  /// indices of the MVP); otherwise fails with `message`.
+  bool read_zero(const char* message) {
+    std::uint8_t b = 0;
+    if (reader_.take_u8(b) || b != 0) return fail(message);
     return true;
   }
 
   /// Reads a block type: `arity` 0 (0x40) or 1 with its value type.
   bool read_block_type(std::uint8_t& arity, ValType& result) {
-    auto b = reader_.read_u8();
-    if (!b.ok()) return fail(b.error());
-    arity = *b == 0x40 ? 0 : 1;
-    result = static_cast<ValType>(*b);
-    if (*b == 0x40 || *b == 0x7f || *b == 0x7e || *b == 0x7d || *b == 0x7c) return true;
+    std::uint8_t b = 0;
+    if (const char* e = reader_.take_u8(b)) return fail(e);
+    arity = b == 0x40 ? 0 : 1;
+    result = static_cast<ValType>(b);
+    if (b == 0x40 || b == 0x7f || b == 0x7e || b == 0x7d || b == 0x7c) return true;
     return fail("validate: unsupported block type");
   }
 
@@ -388,11 +377,11 @@ class Translator {
 
 bool Translator::step_br_table() {
   std::uint32_t count;
-  if (!read_u32(count)) return false;
+  if (!read_leb(count)) return false;
   const std::size_t targets_pos = reader_.pos();
   std::uint32_t depth;
   for (std::uint32_t i = 0; i <= count; ++i)
-    if (!read_u32(depth)) return false;
+    if (!read_leb(depth)) return false;
   const std::size_t end_pos = reader_.pos();
   if (!pop(I32)) return false;
   Frame* def;
@@ -402,7 +391,7 @@ bool Translator::step_br_table() {
   reader_.seek(targets_pos);
   for (std::uint32_t i = 0; i <= count; ++i) {
     Frame* target;
-    if (!read_u32(depth) || !label(depth, target)) return false;
+    if (!read_leb(depth) || !label(depth, target)) return false;
     if (label_arity(*target) != label_arity(*def) ||
         (label_arity(*def) && target->result != def->result))
       return fail("validate: br_table target type mismatch");
@@ -424,9 +413,9 @@ bool Translator::step_memory(std::uint8_t op) {
   const MemSig sig = kMemSigs[op - kI32Load];
   if (!has_memory_) return fail("validate: memory access without memory");
   std::uint32_t align, offset;
-  if (!read_u32(align)) return false;
+  if (!read_leb(align)) return false;
   if (align > sig.align_log2) return fail("validate: alignment exceeds natural alignment");
-  if (!read_u32(offset)) return false;
+  if (!read_leb(offset)) return false;
   if (op <= kI64Load32U) {
     if (!pop(I32)) return false;
     push(sig.type);
@@ -439,7 +428,7 @@ bool Translator::step_memory(std::uint8_t op) {
 
 bool Translator::step_fc() {
   std::uint32_t sub;
-  if (!read_u32(sub)) return false;
+  if (!read_leb(sub)) return false;
   if (sub <= kI64TruncSatF64U) {
     if (!pop((sub & 2) ? F64 : F32)) return false;
     push(sub < kI64TruncSatF32S ? I32 : I64);
@@ -447,17 +436,15 @@ bool Translator::step_fc() {
     return true;
   }
   if (sub == kMemoryCopy) {
-    auto a = reader_.read_u8();
-    auto b = reader_.read_u8();
-    if (!a.ok() || !b.ok() || *a != 0 || *b != 0)
-      return fail("validate: memory.copy operands");
+    if (!read_zero("validate: memory.copy operands") ||
+        !read_zero("validate: memory.copy operands"))
+      return false;
     if (!pop(I32) || !pop(I32) || !pop(I32)) return false;
     emit(kInstrMemCopy);
     return true;
   }
   if (sub == kMemoryFill) {
-    auto a = reader_.read_u8();
-    if (!a.ok() || *a != 0) return fail("validate: memory.fill operand");
+    if (!read_zero("validate: memory.fill operand")) return false;
     if (!pop(I32) || !pop(I32) || !pop(I32)) return false;
     emit(kInstrMemFill);
     return true;
@@ -518,7 +505,7 @@ bool Translator::step(std::uint8_t op) {
     case kBr: {
       std::uint32_t depth;
       Frame* target;
-      if (!read_u32(depth) || !label(depth, target)) return false;
+      if (!read_leb(depth) || !label(depth, target)) return false;
       emit_branch(kBr, *target, vals_.size());
       if (!pop_label(*target)) return false;
       set_unreachable();
@@ -526,7 +513,7 @@ bool Translator::step(std::uint8_t op) {
     }
     case kBrIf: {
       std::uint32_t depth;
-      if (!read_u32(depth) || !pop(I32)) return false;
+      if (!read_leb(depth) || !pop(I32)) return false;
       Frame* target;
       if (!label(depth, target)) return false;
       emit_branch(kBrIf, *target, vals_.size());
@@ -545,13 +532,11 @@ bool Translator::step(std::uint8_t op) {
     case kCall:
     case kCallIndirect: {
       std::uint32_t idx;
-      if (!read_u32(idx)) return false;
+      if (!read_leb(idx)) return false;
       if (op == kCall && idx >= total_funcs_) return fail("validate: call index oob");
       if (op == kCallIndirect) {
         if (idx >= module_.types.size()) return fail("validate: call_indirect type oob");
-        auto table = reader_.read_u8();
-        if (!table.ok() || *table != 0)
-          return fail("validate: call_indirect table must be 0");
+        if (!read_zero("validate: call_indirect table must be 0")) return false;
         if (!has_table_) return fail("validate: call_indirect without table");
         if (!pop(I32)) return false;
       }
@@ -584,7 +569,7 @@ bool Translator::step(std::uint8_t op) {
     case kLocalSet:
     case kLocalTee: {
       std::uint32_t idx;
-      if (!read_u32(idx)) return false;
+      if (!read_leb(idx)) return false;
       const std::size_t np = type_.params.size();
       if (idx >= np + body_.locals.size()) return fail("validate: local index oob");
       const ValType t = idx < np ? type_.params[idx] : body_.locals[idx - np];
@@ -596,7 +581,7 @@ bool Translator::step(std::uint8_t op) {
     case kGlobalGet:
     case kGlobalSet: {
       std::uint32_t idx;
-      if (!read_u32(idx)) return false;
+      if (!read_leb(idx)) return false;
       auto type = module_global_type(module_, idx);
       if (!type.ok()) return fail(type.error());
       if (op == kGlobalGet) {
@@ -611,10 +596,9 @@ bool Translator::step(std::uint8_t op) {
 
     case kMemorySize:
     case kMemoryGrow: {
-      auto zero = reader_.read_u8();
-      if (!zero.ok() || *zero != 0)
-        return fail(op == kMemorySize ? "validate: memory.size operand"
-                                      : "validate: memory.grow operand");
+      if (!read_zero(op == kMemorySize ? "validate: memory.size operand"
+                                       : "validate: memory.grow operand"))
+        return false;
       if (op == kMemoryGrow && !pop(I32)) return false;
       push(I32);
       emit(op);
@@ -622,31 +606,31 @@ bool Translator::step(std::uint8_t op) {
     }
 
     case kI32Const: {
-      auto v = reader_.read_sleb32();
-      if (!v.ok()) return fail(v.error());
+      std::int32_t v = 0;
+      if (!read_leb(v)) return false;
       push(I32);
-      emit(kI32Const, 0, 0, static_cast<std::uint32_t>(*v));
+      emit(kI32Const, 0, 0, static_cast<std::uint32_t>(v));
       return true;
     }
     case kI64Const: {
-      auto v = reader_.read_sleb64();
-      if (!v.ok()) return fail(v.error());
+      std::int64_t v = 0;
+      if (!read_leb(v)) return false;
       push(I64);
-      emit(kI64Const, 0, 0, static_cast<std::uint64_t>(*v));
+      emit(kI64Const, 0, 0, static_cast<std::uint64_t>(v));
       return true;
     }
     case kF32Const: {
-      auto v = reader_.read_bytes(4);
-      if (!v.ok()) return fail(v.error());
+      const std::uint8_t* v = nullptr;
+      if (const char* e = reader_.take_bytes(4, v)) return fail(e);
       push(F32);
-      emit(kF32Const, 0, 0, get_u32le(v->data()));
+      emit(kF32Const, 0, 0, get_u32le(v));
       return true;
     }
     case kF64Const: {
-      auto v = reader_.read_bytes(8);
-      if (!v.ok()) return fail(v.error());
+      const std::uint8_t* v = nullptr;
+      if (const char* e = reader_.take_bytes(8, v)) return fail(e);
       push(F64);
-      emit(kF64Const, 0, 0, get_u64le(v->data()));
+      emit(kF64Const, 0, 0, get_u64le(v));
       return true;
     }
 
@@ -661,8 +645,17 @@ bool Translator::step(std::uint8_t op) {
 
   const NumericSig sig = kNumericSigs[op];
   if (sig.arity == 0) return fail("validate: unknown opcode " + std::to_string(op));
-  for (int i = 0; i < sig.arity; ++i)
-    if (!pop(sig.in)) return false;
+  // Fast path: the top `arity` operands sit above the frame and have the
+  // expected type. Underflow, Unknown or a mismatch takes the generic pops,
+  // which produce the messages.
+  const std::size_t height = vals_.size();
+  if (height >= frames_.back().height + sig.arity && vals_[height - 1] == sig.in &&
+      vals_[height - sig.arity] == sig.in) {
+    vals_.resize(height - sig.arity);
+  } else {
+    for (int i = 0; i < sig.arity; ++i)
+      if (!pop(sig.in)) return false;
+  }
   push(sig.out);
   emit(op);
   return true;

@@ -37,6 +37,7 @@ Result<std::size_t> find_block_end(ByteView code, std::size_t pos,
                                    std::size_t* else_pos);
 
 /// Skips the immediates of opcode `op` (already consumed from `r`).
-Status skip_immediates(ByteReader& r, std::uint8_t op);
+/// Returns nullptr, or the reader's error message.
+const char* skip_immediates(ByteReader& r, std::uint8_t op);
 
 }  // namespace watz::wasm

@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "ann/guest.hpp"
+#include "crypto/sha256.hpp"
+#include "db/kv_guest.hpp"
 #include "polybench/suite.hpp"
 #include "wasm/builder.hpp"
 #include "wasm/instance.hpp"
@@ -147,6 +149,7 @@ struct RejectRow {
   const char* prefix;
   bool memory = false;
   bool table = false;
+  bool raw = false;  // `body` replaces the decoded body as is, with no `end`
 };
 
 TEST(Validator, BodyRejectionParity) {
@@ -210,6 +213,19 @@ TEST(Validator, BodyRejectionParity) {
       {"dead nested block", v, {kUnreachable, kBlock, 0x40, kI32Const, 1, kEnd},
        "validate: values left on stack at end of block"},
       {"dead bad branch depth", v, {kUnreachable, kBr, 5}, "validate: branch depth out of range"},
+      // Faults inside LEB128 immediates.
+      {"i64.const cut at end of body", v, {kI64Const, 0x80, 0x80}, "unexpected end of data",
+       false, false, true},
+      {"overlong i32.const", v, {kI32Const, 0x81, 0x80, 0x80, 0x80, 0x80, 0x00, kDrop},
+       "sleb32 too long"},
+      {"local.get index overflow", ii, {kLocalGet, 0xff, 0xff, 0xff, 0xff, 0x7f},
+       "uleb32 overflow"},
+      {"11-byte i64.const", v,
+       {kI64Const, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00, kDrop},
+       "sleb64 too long"},
+      {"i64.const payload past bit 63", v,
+       {kI64Const, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x05, kDrop},
+       "sleb64 overflow"},
   };
   for (const RejectRow& row : rows) {
     ModuleBuilder b;
@@ -220,6 +236,7 @@ TEST(Validator, BodyRejectionParity) {
     b.set_body(f, row.body);
     auto mod = decode_module(b.build());
     ASSERT_TRUE(mod.ok()) << row.name << ": " << mod.error();
+    if (row.raw) mod->code[0].code = row.body;
     const Status verdict = validate_module(*mod);
     ASSERT_FALSE(verdict.ok()) << row.name;
     EXPECT_EQ(verdict.error().rfind(row.prefix, 0), 0u) << row.name << ": " << verdict.error();
@@ -313,12 +330,9 @@ void mutate(Bytes& body, std::mt19937_64& rng) {
   }
 }
 
-TEST(Validator, MutatedBodiesYieldStatusOrStream) {
-  const std::uint64_t seed = fuzz_seed();
-  std::printf("body mutation seed: WATZ_FUZZ_SEED=0x%llx\n",
-              static_cast<unsigned long long>(seed));
-
-  std::vector<Module> sources;
+/// The 32 valid seed modules: the PolyBench kernels through wcc, genann's
+/// training module and the control shapes, each decoded and validated.
+void load_corpus(std::vector<Module>& sources) {
   auto add_source = [&sources](const std::string& name, const Bytes& binary) {
     auto mod = decode_module(binary);
     ASSERT_TRUE(mod.ok()) << name << ": " << mod.error();
@@ -333,6 +347,15 @@ TEST(Validator, MutatedBodiesYieldStatusOrStream) {
   add_source("genann", ann::training_module());
   add_source("control shapes", control_shapes_module());
   ASSERT_EQ(sources.size(), 32u);
+}
+
+TEST(Validator, MutatedBodiesYieldStatusOrStream) {
+  const std::uint64_t seed = fuzz_seed();
+  std::printf("body mutation seed: WATZ_FUZZ_SEED=0x%llx\n",
+              static_cast<unsigned long long>(seed));
+
+  std::vector<Module> sources;
+  ASSERT_NO_FATAL_FAILURE(load_corpus(sources));
 
   std::mt19937_64 rng(seed);
   constexpr int kMutants = 2000;
@@ -354,6 +377,90 @@ TEST(Validator, MutatedBodiesYieldStatusOrStream) {
       (void)jit::compile_function(mod, f, (*stream)[f]);
   }
   std::printf("%d of %d mutants accepted\n", accepted, kMutants);
+}
+
+// -- pinned translator output -------------------------------------------------
+//
+// One SHA-256 over every field of every CompiledFunc the translator emits
+// for the seed corpus, the kv guest and a module shaped like the onboarding
+// workload's (long straight-line i64.const/i64.add bodies with constants of
+// every encoded length). A change to the translator, its LEB reading or the
+// guest producers (wcc, the builder) that alters any stream, table or
+// height shows up here; a deliberate one re-records the digest.
+
+/// Straight-line `i64.const`/`i64.add` bodies plus an entry that calls them.
+Bytes onboarding_shape_module() {
+  std::mt19937_64 rng(0x0b0a);
+  ModuleBuilder b;
+  b.add_memory(1);
+  std::vector<std::uint32_t> funcs;
+  for (int f = 0; f < 8; ++f) {
+    CodeEmitter e;
+    e.i64_const(static_cast<std::int64_t>(rng() >> 1));
+    for (int i = 0; i < 500; ++i) {
+      // Mostly 9-10 byte constants, as in the workload; the rest span every
+      // length and sign.
+      const std::uint64_t r = rng();
+      const auto v = static_cast<std::int64_t>(i % 4 ? r >> 1 : r >> (r % 64));
+      e.i64_const(i % 8 == 1 ? -v : v).op(kI64Add);
+    }
+    const auto fn = b.add_function({{}, {ValType::I64}});
+    b.set_body(fn, e.bytes());
+    funcs.push_back(fn);
+  }
+  const auto entry = b.add_function({{}, {ValType::I64}});
+  CodeEmitter e;
+  e.i32_const(0).load(kI64Load, 0, 3);
+  for (std::uint32_t fn : funcs) e.call(fn).op(kI64Add);
+  b.set_body(entry, e.bytes());
+  b.export_function("entry", entry);
+  return b.build();
+}
+
+void hash_stream(crypto::Sha256& h, const std::vector<CompiledFunc>& funcs) {
+  Bytes buf;
+  put_u32le(buf, static_cast<std::uint32_t>(funcs.size()));
+  for (const CompiledFunc& f : funcs) {
+    put_u32le(buf, static_cast<std::uint32_t>(f.code.size()));
+    for (const Instr& in : f.code) {
+      put_u16le(buf, in.op);
+      put_u16le(buf, in.aux);
+      put_u32le(buf, in.a);
+      put_u64le(buf, in.imm);
+    }
+    put_u32le(buf, static_cast<std::uint32_t>(f.tables.size()));
+    for (const BrTableEntry& t : f.tables) {
+      put_u32le(buf, t.target);
+      put_u16le(buf, t.keep);
+      put_u32le(buf, t.drop);
+    }
+    put_u32le(buf, f.num_params);
+    put_u32le(buf, f.num_locals);
+    put_u32le(buf, f.result_arity);
+    put_u32le(buf, f.max_operand_height);
+  }
+  h.update(buf);
+}
+
+TEST(Translator, StreamsMatchPinnedDigest) {
+  std::vector<Module> modules;
+  ASSERT_NO_FATAL_FAILURE(load_corpus(modules));
+  for (const Bytes& binary : {db::kv_guest_module(), onboarding_shape_module()}) {
+    auto mod = decode_module(binary);
+    ASSERT_TRUE(mod.ok()) << mod.error();
+    modules.push_back(std::move(*mod));
+  }
+  crypto::Sha256 h;
+  std::size_t instrs = 0;
+  for (const Module& mod : modules) {
+    auto stream = precompile_module(mod);
+    ASSERT_TRUE(stream.ok()) << stream.error();
+    for (const CompiledFunc& f : *stream) instrs += f.code.size();
+    hash_stream(h, *stream);
+  }
+  const auto digest = h.finish();
+  std::printf("%zu modules, %zu instructions\n", modules.size(), instrs);
+  EXPECT_EQ(to_hex(digest), "391e1dd3b711459089f4f87169036a1bb5a9b17ccf1cac3b6fd96292930fba1a");
 }
 
 }  // namespace
