@@ -9,6 +9,10 @@
 
 namespace watz::wasm {
 
+namespace {
+
+/// Skips the immediates of opcode `op` (already consumed from `r`).
+/// Returns nullptr, or the reader's error message.
 const char* skip_immediates(ByteReader& r, std::uint8_t op) {
   std::uint64_t index = 0;
   std::int64_t constant = 0;
@@ -59,6 +63,8 @@ const char* skip_immediates(ByteReader& r, std::uint8_t op) {
       return nullptr;  // no immediates
   }
 }
+
+}  // namespace
 
 Result<std::size_t> find_block_end(ByteView code, std::size_t pos,
                                    std::size_t* else_pos) {

@@ -29,15 +29,11 @@ enum InstrOp : std::uint16_t {
 /// in the unified index space.
 Result<CompiledFunc> compile_function(const Module& module, std::uint32_t func_index);
 
-/// Byte-level scanning helpers shared with the interpreter. `pos` must point
+/// Byte-level scanning helper for the interpreter. `pos` must point
 /// just after a block/loop/if header. Returns the position just after the
 /// matching `end`; if `else_pos` is non-null and an `else` exists at depth 0,
 /// stores the position just after it.
 Result<std::size_t> find_block_end(ByteView code, std::size_t pos,
                                    std::size_t* else_pos);
-
-/// Skips the immediates of opcode `op` (already consumed from `r`).
-/// Returns nullptr, or the reader's error message.
-const char* skip_immediates(ByteReader& r, std::uint8_t op);
 
 }  // namespace watz::wasm
