@@ -8,44 +8,47 @@ namespace watz::crypto {
 
 namespace {
 
-/// RFC 6979 nonce derivation for P-256 / SHA-256. `x` is the private key,
-/// `h1` the message digest. qlen == hlen == 256 bits, so bits2int is the
-/// identity and bits2octets is reduction mod n.
-Scalar32 rfc6979_nonce(const Scalar32& x, const Sha256Digest& h1) {
-  const Scalar32 h_mod_n = scalar_mod_n([&] {
-    Scalar32 tmp;
-    std::copy(h1.begin(), h1.end(), tmp.begin());
-    return tmp;
-  }());
+constexpr std::uint8_t kZeroByte[1] = {0x00};
+constexpr std::uint8_t kOneByte[1] = {0x01};
 
-  std::array<std::uint8_t, 32> v;
-  v.fill(0x01);
-  std::array<std::uint8_t, 32> k;
-  k.fill(0x00);
+/// Sha256Digest and Scalar32 are the same 32-byte array type.
+Scalar32 digest_mod_n(const Sha256Digest& digest) { return scalar_mod_n(digest); }
 
-  const Bytes seed0 = concat({v, ByteView((const std::uint8_t*)"\x00", 1), x, h_mod_n});
-  k = hmac_sha256(k, seed0);
-  v = hmac_sha256(k, v);
-  const Bytes seed1 = concat({v, ByteView((const std::uint8_t*)"\x01", 1), x, h_mod_n});
-  k = hmac_sha256(k, seed1);
-  v = hmac_sha256(k, v);
-
-  for (;;) {
-    v = hmac_sha256(k, v);
-    Scalar32 candidate;
-    std::copy(v.begin(), v.end(), candidate.begin());
-    if (p256_scalar_valid(candidate)) return candidate;
-    const Bytes retry = concat({v, ByteView((const std::uint8_t*)"\x00", 1)});
-    k = hmac_sha256(k, retry);
-    v = hmac_sha256(k, v);
+/// RFC 6979 nonce derivation for P-256 / SHA-256: an HMAC_DRBG seeded with
+/// the private key `x` and the message digest reduced mod n (section 3.2,
+/// steps b-g). qlen == hlen == 256 bits, so bits2int is the identity and
+/// bits2octets is reduction mod n.
+class NonceGenerator {
+ public:
+  NonceGenerator(const Scalar32& x, const Scalar32& h_mod_n) {
+    v_.fill(0x01);
+    k_.fill(0x00);
+    k_ = hmac_sha256(k_, concat({v_, kZeroByte, x, h_mod_n}));
+    v_ = hmac_sha256(k_, v_);
+    k_ = hmac_sha256(k_, concat({v_, kOneByte, x, h_mod_n}));
+    v_ = hmac_sha256(k_, v_);
   }
-}
 
-Scalar32 digest_mod_n(const Sha256Digest& digest) {
-  Scalar32 e;
-  std::copy(digest.begin(), digest.end(), e.begin());
-  return scalar_mod_n(e);
-}
+  /// The next candidate in 1..n-1 (step h). Every call after the first
+  /// starts with step h.3's update, so a nonce whose signature was rejected
+  /// (r = 0 or s = 0) is never returned twice.
+  Scalar32 next() {
+    for (;;) {
+      if (started_) {
+        k_ = hmac_sha256(k_, concat({v_, kZeroByte}));
+        v_ = hmac_sha256(k_, v_);
+      }
+      started_ = true;
+      v_ = hmac_sha256(k_, v_);
+      if (p256_scalar_valid(v_)) return v_;
+    }
+  }
+
+ private:
+  Sha256Digest k_{};
+  Sha256Digest v_{};
+  bool started_ = false;
+};
 
 }  // namespace
 
@@ -77,11 +80,13 @@ Result<KeyPair> keypair_from_private(const Scalar32& priv) {
 
 EcdsaSignature ecdsa_sign(const Scalar32& priv, const Sha256Digest& digest) {
   const Scalar32 e = digest_mod_n(digest);
+  NonceGenerator nonces(priv, e);
   for (;;) {
-    const Scalar32 k = rfc6979_nonce(priv, digest);
+    const Scalar32 k = nonces.next();
     const EcPoint kg = p256_base_mul(k);
     const Scalar32 r = scalar_mod_n(kg.x);
-    if (scalar_is_zero(r)) continue;  // astronomically unlikely
+    // r = 0 or s = 0 has probability ~2^-256; next() then moves on.
+    if (scalar_is_zero(r)) continue;
     const Scalar32 kinv = scalar_inv_mod_n(k);
     const Scalar32 rd = scalar_mul_mod_n(r, priv);
     const Scalar32 s = scalar_mul_mod_n(kinv, scalar_add_mod_n(e, rd));

@@ -219,5 +219,40 @@ TEST(Ecdh, RejectsInvalidPeer) {
   EXPECT_FALSE(ecdh_shared_x(alice.priv, off).ok());
 }
 
+// -- output pin ----------------------------------------------------------------
+//
+// One SHA-256 over 64 rounds of seeded keygen, RFC 6979 signing, ECDH and
+// verification (a valid and a tampered digest). The expected value is the
+// output of an independent field implementation (a CIOS Montgomery
+// multiply with no dedicated squaring), so a change to the field or point
+// arithmetic that moves a single output bit fails here.
+TEST(Ecdsa, PinnedOutputDigest) {
+  Fortuna rng(to_bytes("p256-output-pin"));
+  Sha256 pin;
+  KeyPair prev = ecdsa_keygen(rng);
+  for (int i = 0; i < 64; ++i) {
+    const KeyPair kp = ecdsa_keygen(rng);
+    pin.update(kp.priv);
+    pin.update(kp.pub.encode_uncompressed());
+    Sha256Digest digest;
+    rng.fill(digest);
+    const EcdsaSignature sig = ecdsa_sign(kp.priv, digest);
+    pin.update(sig.encode());
+    const auto shared = ecdh_shared_x(kp.priv, prev.pub);
+    ASSERT_TRUE(shared.ok()) << shared.error();
+    pin.update(*shared);
+    Sha256Digest tampered = digest;
+    tampered[i % 32] ^= static_cast<std::uint8_t>(1u << (i % 8));
+    const std::uint8_t verdicts[2] = {ecdsa_verify(kp.pub, digest, sig),
+                                      ecdsa_verify(kp.pub, tampered, sig)};
+    EXPECT_EQ(verdicts[0], 1) << "round " << i;
+    EXPECT_EQ(verdicts[1], 0) << "round " << i;
+    pin.update(verdicts);
+    prev = kp;
+  }
+  EXPECT_EQ(to_hex(pin.finish()),
+            "9f7085090005811868437f633b0f6dc2cd9f78214f623ec7355ef84b932391af");
+}
+
 }  // namespace
 }  // namespace watz::crypto

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "crypto/p256_field.hpp"
 
 namespace watz::crypto {
 namespace {
@@ -291,6 +292,209 @@ TEST_F(P256Differential, EdgeScalarsMatchReference) {
 TEST_F(P256Differential, RandomScalarsMatchReference) {
   SCOPED_TRACE(::testing::Message() << "WATZ_P256_SEED=0x" << std::hex << differential_seed());
   for (int i = 0; i < 16; ++i) expect_matches_reference(random_valid_scalar(rng_), q_);
+}
+
+// -- field differential: p256_field.hpp vs a bit-serial reference ------------
+//
+// The reference below is plain shift-and-add modular arithmetic on the same
+// limb layout, written for clarity, not speed: a*b mod m by double-and-add,
+// and the Montgomery factor R^-1 = 2^-256 as 256 halvings mod m. It shares no
+// code with the Comba products, the P-256 reduction or the word-by-word
+// reduction mod n.
+
+using p256_detail::U256;
+using u64 = std::uint64_t;
+using u128 = unsigned __int128;
+
+const U256 kFieldP{0xffffffffffffffffULL, 0x00000000ffffffffULL, 0, 0xffffffff00000001ULL};
+const U256 kFieldN{0xf3b9cac2fc632551ULL, 0xbce6faada7179e84ULL, 0xffffffffffffffffULL,
+                   0xffffffff00000000ULL};
+
+/// out = a + b mod 2^256; returns the carry out.
+u64 ref_add(U256& out, const U256& a, const U256& b) {
+  u64 carry = 0;
+  for (int i = 0; i < 4; ++i) {
+    const u128 sum = static_cast<u128>(a.w[i]) + b.w[i] + carry;
+    out.w[i] = static_cast<u64>(sum);
+    carry = static_cast<u64>(sum >> 64);
+  }
+  return carry;
+}
+
+/// out = a - b mod 2^256; returns the borrow out.
+u64 ref_sub(U256& out, const U256& a, const U256& b) {
+  u64 borrow = 0;
+  for (int i = 0; i < 4; ++i) {
+    const u64 next = (a.w[i] < b.w[i] || (a.w[i] == b.w[i] && borrow)) ? 1 : 0;
+    out.w[i] = a.w[i] - b.w[i] - borrow;
+    borrow = next;
+  }
+  return borrow;
+}
+
+bool ref_less(const U256& a, const U256& b) {
+  for (int i = 3; i >= 0; --i)
+    if (a.w[i] != b.w[i]) return a.w[i] < b.w[i];
+  return false;
+}
+
+U256 ref_add_mod(const U256& a, const U256& b, const U256& m) {
+  U256 s;
+  if (ref_add(s, a, b) != 0 || !ref_less(s, m)) ref_sub(s, s, m);
+  return s;
+}
+
+U256 ref_sub_mod(const U256& a, const U256& b, const U256& m) {
+  U256 d;
+  if (ref_sub(d, a, b) != 0) ref_add(d, d, m);
+  return d;
+}
+
+/// a * b mod m, most significant bit of b first.
+U256 ref_mul_mod(const U256& a, const U256& b, const U256& m) {
+  U256 x;
+  for (int i = 255; i >= 0; --i) {
+    x = ref_add_mod(x, x, m);
+    if ((b.w[i / 64] >> (i % 64)) & 1) x = ref_add_mod(x, a, m);
+  }
+  return x;
+}
+
+/// x * 2^-256 mod m (m odd): 256 halvings, adding m first when x is odd.
+U256 ref_div_r(U256 x, const U256& m) {
+  for (int i = 0; i < 256; ++i) {
+    const u64 top = (x.w[0] & 1) ? ref_add(x, x, m) : 0;
+    for (int j = 0; j < 3; ++j) x.w[j] = (x.w[j] >> 1) | (x.w[j + 1] << 63);
+    x.w[3] = (x.w[3] >> 1) | (top << 63);
+  }
+  return x;
+}
+
+/// 2^256 mod m, for m above 2^255.
+U256 ref_r_mod(const U256& m) {
+  U256 r;
+  ref_sub(r, U256{}, m);
+  return r;
+}
+
+struct FieldOps {
+  const char* name;
+  U256 m;
+  U256 (*mul)(const U256&, const U256&) noexcept;
+  U256 (*sqr)(const U256&) noexcept;
+  U256 (*to_mont)(const U256&) noexcept;
+  U256 (*from_mont)(const U256&) noexcept;
+  U256 (*add)(const U256&, const U256&) noexcept;  // null: no add/sub mod n
+  U256 (*sub)(const U256&, const U256&) noexcept;
+};
+
+const FieldOps kFields[] = {
+    {"p", kFieldP, p256_detail::fp_mul, p256_detail::fp_sqr, p256_detail::fp_to_mont,
+     p256_detail::fp_from_mont, p256_detail::fp_add, p256_detail::fp_sub},
+    {"n", kFieldN, p256_detail::fn_mul, p256_detail::fn_sqr, p256_detail::fn_to_mont,
+     p256_detail::fn_from_mont, nullptr, nullptr},
+};
+
+std::string limbs_hex(const U256& v) {
+  char buf[80];
+  std::snprintf(buf, sizeof buf, "%016llx%016llx%016llx%016llx",
+                static_cast<unsigned long long>(v.w[3]), static_cast<unsigned long long>(v.w[2]),
+                static_cast<unsigned long long>(v.w[1]), static_cast<unsigned long long>(v.w[0]));
+  return buf;
+}
+
+U256 minus(const U256& m, const U256& v) {
+  U256 r;
+  ref_sub(r, m, v);
+  return r;
+}
+
+/// Operands below m that sit on the reduction's edges. (m-2)^2 is one of
+/// the products whose Montgomery sum reaches 2^256 before the final
+/// subtraction, for p and for n alike.
+std::vector<U256> edge_operands(const U256& m) {
+  std::vector<U256> out = {U256{},           U256{1, 0, 0, 0},           U256{2, 0, 0, 0},
+                           minus(m, U256{1, 0, 0, 0}), minus(m, U256{2, 0, 0, 0}),
+                           minus(m, U256{1ULL << 32, 0, 0, 0}), minus(m, U256{0, 1, 0, 0}),
+                           U256{0, 0, 0, 1ULL << 63}};
+  // Every limb all-ones or all-zeros, reduced below m.
+  for (int pattern = 1; pattern < 16; ++pattern) {
+    U256 v;
+    for (int i = 0; i < 4; ++i) v.w[i] = (pattern >> i) & 1 ? ~0ULL : 0;
+    if (!ref_less(v, m)) ref_sub(v, v, m);
+    out.push_back(v);
+  }
+  return out;
+}
+
+U256 random_below(std::mt19937_64& rng, const U256& m) {
+  for (;;) {
+    const U256 v{rng(), rng(), rng(), rng()};
+    if (ref_less(v, m)) return v;
+  }
+}
+
+/// Checks every field operation on (a, b) against the reference.
+void expect_field_matches(const FieldOps& f, const U256& a, const U256& b) {
+  SCOPED_TRACE(std::string("mod ") + f.name + ": a = " + limbs_hex(a) + ", b = " + limbs_hex(b));
+  const U256 mont = ref_div_r(ref_mul_mod(a, b, f.m), f.m);
+  EXPECT_EQ(limbs_hex(f.mul(a, b)), limbs_hex(mont));
+  EXPECT_EQ(limbs_hex(f.sqr(a)), limbs_hex(f.mul(a, a)));
+  EXPECT_EQ(limbs_hex(f.to_mont(a)), limbs_hex(ref_mul_mod(a, ref_r_mod(f.m), f.m)));
+  EXPECT_EQ(limbs_hex(f.from_mont(a)), limbs_hex(ref_div_r(a, f.m)));
+  if (f.add != nullptr) {
+    EXPECT_EQ(limbs_hex(f.add(a, b)), limbs_hex(ref_add_mod(a, b, f.m)));
+    EXPECT_EQ(limbs_hex(f.sub(a, b)), limbs_hex(ref_sub_mod(a, b, f.m)));
+  }
+}
+
+class P256Field : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    std::printf("p256 field seed: WATZ_P256_SEED=0x%llx\n",
+                static_cast<unsigned long long>(differential_seed()));
+    rng_.seed(differential_seed());
+  }
+
+  std::mt19937_64 rng_;
+};
+
+TEST_F(P256Field, EdgeOperandsMatchReference) {
+  for (const FieldOps& f : kFields) {
+    const std::vector<U256> edges = edge_operands(f.m);
+    for (const U256& a : edges)
+      for (const U256& b : edges) expect_field_matches(f, a, b);
+  }
+}
+
+TEST_F(P256Field, RandomOperandsMatchReference) {
+  SCOPED_TRACE(::testing::Message() << "WATZ_P256_SEED=0x" << std::hex << differential_seed());
+  for (const FieldOps& f : kFields) {
+    const std::vector<U256> edges = edge_operands(f.m);
+    for (int i = 0; i < 64; ++i) {
+      const U256 a = random_below(rng_, f.m);
+      expect_field_matches(f, a, random_below(rng_, f.m));
+      expect_field_matches(f, a, edges[i % edges.size()]);
+    }
+  }
+}
+
+TEST_F(P256Field, CarryHelpersMatchPortableForms) {
+  std::vector<u64> operands = {0, 1, 2, 0xffffffffULL, 1ULL << 32, (1ULL << 63) - 1, 1ULL << 63,
+                               ~0ULL - 1, ~0ULL, 0xffffffff00000001ULL};
+  for (int i = 0; i < 6; ++i) operands.push_back(rng_());
+  for (const u64 a : operands)
+    for (const u64 b : operands)
+      for (const u64 carry_in : {0ULL, 1ULL}) {
+        SCOPED_TRACE(::testing::Message() << std::hex << "a = " << a << ", b = " << b
+                                          << ", carry in = " << carry_in);
+        u64 c_fast = carry_in, c_ref = carry_in;
+        EXPECT_EQ(p256_detail::addc(a, b, c_fast), p256_detail::addc_portable(a, b, c_ref));
+        EXPECT_EQ(c_fast, c_ref);
+        u64 b_fast = carry_in, b_ref = carry_in;
+        EXPECT_EQ(p256_detail::subb(a, b, b_fast), p256_detail::subb_portable(a, b, b_ref));
+        EXPECT_EQ(b_fast, b_ref);
+      }
 }
 
 }  // namespace
