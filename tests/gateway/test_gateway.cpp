@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
+#include <map>
+#include <random>
 #include <set>
 #include <thread>
 
 #include "core/device.hpp"
+#include "crypto/sha256.hpp"
 #include "gateway/gateway.hpp"
 #include "wasm/builder.hpp"
 
@@ -1440,6 +1444,279 @@ TEST(GatewayProtocolTest, ObservabilityFraming) {
   auto bloated2 = GatewayStats::decode(bloated);
   ASSERT_FALSE(bloated2.ok());
   EXPECT_NE(bloated2.error().find("slow-invoke"), std::string::npos);
+}
+
+// -- every message type, generated from a seed --------------------------------
+//
+// wire_cases() builds kWireInstances instances of each of the 13 gateway
+// messages. Each type draws from its own stream of the seed, so a layout
+// change to one type moves only that type's frames. FramesArePinned always
+// uses kWireSeed, the seed its digests were recorded with.
+
+constexpr std::uint64_t kWireSeed = 0x5741545A57495245ull;
+constexpr int kWireInstances = 6;
+
+struct WireGen {
+  std::mt19937_64 rng;
+
+  std::uint64_t u64() { return rng(); }
+  std::uint32_t u32() { return static_cast<std::uint32_t>(rng()); }
+  std::size_t below(std::size_t n) { return static_cast<std::size_t>(rng() % n); }
+  bool coin() { return (rng() & 1) != 0; }
+  std::string str(std::size_t max_len) {
+    std::string s(below(max_len + 1), '\0');
+    for (char& c : s) c = static_cast<char>('a' + below(26));
+    return s;
+  }
+  Bytes blob(std::size_t max_len) {
+    Bytes b(below(max_len + 1));
+    for (std::uint8_t& x : b) x = static_cast<std::uint8_t>(rng());
+    return b;
+  }
+  crypto::Sha256Digest digest() {
+    crypto::Sha256Digest d;
+    for (std::uint8_t& x : d) x = static_cast<std::uint8_t>(rng());
+    return d;
+  }
+  std::vector<wasm::Value> values(std::size_t max) {
+    static constexpr wasm::ValType kTypes[] = {wasm::ValType::I32, wasm::ValType::I64,
+                                               wasm::ValType::F32, wasm::ValType::F64};
+    std::vector<wasm::Value> v(below(max + 1));
+    for (wasm::Value& x : v) x = wasm::Value{kTypes[below(4)], u64()};
+    return v;
+  }
+  /// Strictly increasing lane ids, some past one uleb byte.
+  std::vector<std::uint32_t> lanes(std::size_t n) {
+    std::vector<std::uint32_t> ids(n);
+    std::uint32_t next = static_cast<std::uint32_t>(below(4));
+    for (std::uint32_t& id : ids) {
+      id = next;
+      next += 1 + static_cast<std::uint32_t>(below(100));
+    }
+    return ids;
+  }
+};
+
+InvokeRequest gen_invoke(WireGen& g, int i) {
+  InvokeRequest m;
+  m.session_id = g.u64();
+  m.measurement = g.digest();
+  m.entry = g.str(12);
+  m.args = g.values(4);
+  m.heap_bytes = g.u64();
+  m.trace_id = i % 2 ? g.u64() | 1 : 0;  // traced and untraced
+  return m;
+}
+
+InvokeResponse gen_invoke_response(WireGen& g, int i) {
+  InvokeResponse m;
+  m.results = g.values(3);
+  m.device = "node-" + g.str(6);
+  m.module_cache_hit = g.coin();
+  m.pool_hit = g.coin();
+  m.launch_ns = g.u64();
+  m.invoke_ns = g.u64();
+  m.ra_exchanges = g.u32();
+  m.queue_delay_ns = g.u64();
+  m.trace_id = i % 2 ? g.u64() : 0;
+  return m;
+}
+
+/// i == 0 is the empty snapshot; every later one populates every section.
+GatewayStats gen_stats(WireGen& g, int i) {
+  GatewayStats s;
+  if (i == 0) return s;
+  for (std::uint64_t* f :
+       {&s.sessions_active, &s.sessions_total, &s.handshakes_run, &s.handshakes_reused,
+        &s.modules_registered, &s.invocations, &s.queue_full_rejections, &s.deduped_lanes,
+        &s.evidence_renewals, &s.tier_up_compiles, &s.native_entries, &s.jit_fallback_ops,
+        &s.jit_fallback_call, &s.invoke_memo_hits, &s.migrations, &s.prewarm_prepares,
+        &s.queue_delay_p50_ns, &s.queue_delay_p90_ns, &s.queue_delay_p99_ns})
+    *f = g.u64();
+  for (StageStats* st :
+       {&s.stage_queue, &s.stage_exec, &s.stage_tee_entry, &s.stage_ra, &s.stage_jit_compile})
+    *st = StageStats{g.u64(), g.u64(), g.u64(), g.u64()};
+  s.devices.resize(1 + g.below(3));
+  for (DeviceStats& d : s.devices) {
+    d.hostname = "node-" + g.str(4);
+    for (std::uint64_t* f :
+         {&d.boot_count, &d.invocations, &d.busy_ns, &d.secure_heap_in_use, &d.cache_hits,
+          &d.cache_misses, &d.cache_evictions, &d.pool_hits, &d.cache_prewarms,
+          &d.queue_delay_p50_ns, &d.queue_delay_p90_ns, &d.queue_delay_p99_ns})
+      *f = g.u64();
+    d.queue_depth_peak = g.u32();
+    d.pool_slots = g.u32();
+    d.slots.resize(1 + g.below(4));
+    for (SlotStats& slot : d.slots)
+      slot = SlotStats{g.u32(), g.u32(), g.u64(), g.u64(), g.u64()};
+    d.modules.resize(1 + g.below(3));
+    for (ModuleTierStats& m : d.modules)
+      m = ModuleTierStats{g.digest(), static_cast<std::uint8_t>(g.below(2)),
+                          g.u32(), g.u32(), g.u32(), g.u64()};
+  }
+  s.ra_shards.resize(1 + g.below(4));
+  for (RaShardStats& shard : s.ra_shards)
+    shard = RaShardStats{g.u64(), g.u64(), g.u64(), g.u64()};
+  s.slow_invokes.resize(1 + g.below(3));
+  for (SlowInvoke& slow : s.slow_invokes) {
+    for (std::uint64_t* f : {&slow.trace_id, &slow.total_ns, &slow.queue_ns,
+                             &slow.prepare_ns, &slow.tee_ns, &slow.exec_ns, &slow.ra_ns})
+      *f = g.u64();
+    slow.device = "node-" + g.str(4);
+    slow.entry = g.str(10);
+  }
+  return s;
+}
+
+/// The valid frames of one message type, the byte offsets of their bool
+/// fields, and the type's decoder.
+struct WireCase {
+  std::string name;
+  std::vector<Bytes> frames;
+  std::vector<std::vector<std::size_t>> bool_at;  ///< per frame
+  std::size_t bool_fields = 0;
+  bool (*decodes)(ByteView) = nullptr;
+  Bytes (*reencode)(ByteView) = nullptr;  ///< decode, then encode again
+};
+
+/// Each toggle flips one bool field of a message; the one byte it changes
+/// in the frame is that field's offset.
+template <class M>
+WireCase wire_case(const char* name, std::uint64_t seed, std::uint64_t stream,
+                   M (*gen)(WireGen&, int), std::vector<void (*)(M&)> toggles = {}) {
+  WireGen g{std::mt19937_64(seed ^ (stream * 0x9E3779B97F4A7C15ull))};
+  WireCase c;
+  c.name = name;
+  c.bool_fields = toggles.size();
+  c.decodes = [](ByteView f) { return M::decode(f).ok(); };
+  c.reencode = [](ByteView f) { return M::decode(f).value().encode(); };
+  for (int i = 0; i < kWireInstances; ++i) {
+    const M m = gen(g, i);
+    Bytes frame = m.encode();
+    std::vector<std::size_t> bools;
+    for (auto toggle : toggles) {
+      M flipped = m;
+      toggle(flipped);
+      const Bytes other = flipped.encode();
+      EXPECT_EQ(other.size(), frame.size()) << name;
+      if (other.size() != frame.size()) continue;
+      for (std::size_t at = 0; at < frame.size(); ++at)
+        if (frame[at] != other[at]) bools.push_back(at);
+    }
+    c.frames.push_back(std::move(frame));
+    c.bool_at.push_back(std::move(bools));
+  }
+  return c;
+}
+
+std::vector<WireCase> wire_cases(std::uint64_t seed) {
+  std::vector<WireCase> cases;
+  cases.push_back(wire_case<AttachRequest>("AttachRequest", seed, 1, [](WireGen& g, int) {
+    return AttachRequest{g.str(20)};
+  }));
+  cases.push_back(wire_case<AttachResponse>("AttachResponse", seed, 2, [](WireGen& g, int) {
+    return AttachResponse{g.u64(), g.u32(), g.u32()};
+  }));
+  cases.push_back(wire_case<AttachBatchRequest>(
+      "AttachBatchRequest", seed, 3, [](WireGen& g, int) {
+        AttachBatchRequest m;
+        m.clients.resize(1 + g.below(5));
+        for (std::string& client : m.clients) client = g.str(200);
+        return m;
+      }));
+  cases.push_back(wire_case<AttachBatchResponse>(
+      "AttachBatchResponse", seed, 4, [](WireGen& g, int i) {
+        AttachBatchResponse m;
+        m.ra_fabric_exchanges = g.u32();
+        m.results.resize(i == 0 ? 0 : 1 + g.below(4));
+        for (AttachBatchResult& r : m.results) {
+          if (g.coin()) r.error = "gateway: " + g.str(30);
+          else r = AttachBatchResult{g.u64(), g.u32(), g.u32(), ""};
+        }
+        return m;
+      }));
+  cases.push_back(wire_case<LoadModuleRequest>(
+      "LoadModuleRequest", seed, 5, [](WireGen& g, int) {
+        return LoadModuleRequest{g.u64(), g.blob(300)};
+      }));
+  cases.push_back(wire_case<LoadModuleResponse>(
+      "LoadModuleResponse", seed, 6,
+      [](WireGen& g, int) { return LoadModuleResponse{g.digest(), g.coin()}; },
+      {[](LoadModuleResponse& m) { m.already_registered = !m.already_registered; }}));
+  cases.push_back(wire_case<InvokeRequest>("InvokeRequest", seed, 7, gen_invoke));
+  cases.push_back(wire_case<InvokeResponse>(
+      "InvokeResponse", seed, 8, gen_invoke_response,
+      {[](InvokeResponse& m) { m.module_cache_hit = !m.module_cache_hit; },
+       [](InvokeResponse& m) { m.pool_hit = !m.pool_hit; }}));
+  cases.push_back(wire_case<InvokeBatchRequest>(
+      "InvokeBatchRequest", seed, 9, [](WireGen& g, int i) {
+        InvokeBatchRequest m;
+        for (std::uint32_t lane : g.lanes(1 + g.below(4)))
+          m.lanes.push_back({lane, gen_invoke(g, i + static_cast<int>(lane))});
+        return m;
+      }));
+  cases.push_back(wire_case<InvokeBatchResponse>(
+      "InvokeBatchResponse", seed, 10,
+      [](WireGen& g, int i) {
+        // Lane 0 succeeds and lane 1 fails; the rest flip a coin.
+        InvokeBatchResponse m;
+        const std::vector<std::uint32_t> lanes = g.lanes(i == 0 ? 0 : 2 + g.below(3));
+        for (std::size_t k = 0; k < lanes.size(); ++k) {
+          InvokeBatchResult r;
+          r.lane = lanes[k];
+          if (k == 1 || (k > 1 && g.coin())) r.error = "gateway: " + g.str(30);
+          else r.result = gen_invoke_response(g, i);
+          m.results.push_back(std::move(r));
+        }
+        return m;
+      },
+      {[](InvokeBatchResponse& m) {
+         if (!m.results.empty()) m.results[0].result.pool_hit ^= true;
+       }}));
+  cases.push_back(wire_case<StatsRequest>(
+      "StatsRequest", seed, 11,
+      [](WireGen& g, int) { return StatsRequest{g.u64(), g.coin()}; },
+      {[](StatsRequest& m) { m.detail = !m.detail; }}));
+  cases.push_back(wire_case<GatewayStats>("GatewayStats", seed, 12, gen_stats));
+  cases.push_back(wire_case<DetachRequest>("DetachRequest", seed, 13, [](WireGen& g, int) {
+    return DetachRequest{g.u64()};
+  }));
+  return cases;
+}
+
+/// The wire layout of every message is pinned: SHA-256 over each type's
+/// generated frames, recorded when the layouts were last changed on
+/// purpose. Every frame also decodes and re-encodes to itself.
+TEST(GatewayProtocolTest, FramesArePinned) {
+  std::printf("wire frame seed: WATZ_WIRE_SEED=0x%llx\n",
+              static_cast<unsigned long long>(kWireSeed));
+  static const std::map<std::string, std::string> kPinned = {
+      {"AttachRequest", "43ab2d4b4865b19bac1c9f0ba7e9a905acb3cfd2ccab6e778f410c4b70e87ccf"},
+      {"AttachResponse", "a4fdf47d1352942b828b0ca229d744e3ec3233904e349314010170018a7733de"},
+      {"AttachBatchRequest", "da3e80a67725771328a124a60e9296ec106313527a269d7f2ec57268812e60b1"},
+      {"AttachBatchResponse", "6338a4362fa57d8f72cba3246d09157574670a5869470cb39a23e654078a451a"},
+      {"LoadModuleRequest", "a31f7aeb68b39ca51a16559e27853ea45b2ec35c8f31705af6f9526dafee2323"},
+      {"LoadModuleResponse", "6ca04695dbc22e087f00c5b170d4b1f23660221ea7b5b25a2514fda7781a51e1"},
+      {"InvokeRequest", "8c04b872a84a164dff9bfe41cb153b36008c70c5c6fb57302c8b8074842d1865"},
+      {"InvokeResponse", "afbfb714a2fb29e7138b340b8fee6abde45e132642091a2c90be0cd12a1f8013"},
+      {"InvokeBatchRequest", "25ddc4341b8d0c19d082dad117a7fdae43a6272e26357072d195382774ed3d01"},
+      {"InvokeBatchResponse", "f3f95485c484c1e54c9d12f514b5bee6e008f6f2a3ead7f328ee17f576fc2590"},
+      {"StatsRequest", "3d11c52fed16378a6e88b755fb43c2cbe19842d2e9fce2383bbcf877101f1090"},
+      {"GatewayStats", "29959dde5369c3622ea89778b6c0262ad98d3d735e616b923cd6760ab31f39d5"},
+      {"DetachRequest", "853c174cad010cebb9add003eeeef6b38e146ddf2aee0f2dc1cc83d288fdcd74"},
+  };
+  const std::vector<WireCase> cases = wire_cases(kWireSeed);
+  ASSERT_EQ(cases.size(), kPinned.size());
+  for (const WireCase& c : cases) {
+    Bytes all;
+    for (const Bytes& frame : c.frames) {
+      ASSERT_TRUE(c.decodes(frame)) << c.name;
+      EXPECT_EQ(c.reencode(frame), frame) << c.name;
+      write_uleb(all, frame.size());
+      append(all, frame);
+    }
+    EXPECT_EQ(to_hex(crypto::sha256(all)), kPinned.at(c.name)) << c.name;
+  }
 }
 
 }  // namespace
