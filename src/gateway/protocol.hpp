@@ -5,7 +5,9 @@
 // and blobs are ULEB-length-prefixed, scalars little-endian). Every
 // response is an envelope: a status byte (0 = ok) followed by either the
 // opcode-specific payload or an error string — so application failures
-// travel in-band instead of tearing down the connection.
+// travel in-band instead of tearing down the connection. Every message
+// decoder applies one framing rule: a truncated frame, bytes after the last
+// field, and a bool byte other than 0 or 1 are all rejected.
 //
 //   ATTACH      client attaches; the gateway runs the RA handshake against
 //               every enrolled device and caches the verified evidence

@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <random>
 #include <set>
@@ -1716,6 +1717,44 @@ TEST(GatewayProtocolTest, FramesArePinned) {
       append(all, frame);
     }
     EXPECT_EQ(to_hex(crypto::sha256(all)), kPinned.at(c.name)) << c.name;
+  }
+}
+
+std::uint64_t wire_seed() {
+  static const std::uint64_t seed = [] {
+    const char* env = std::getenv("WATZ_WIRE_SEED");
+    return env ? std::strtoull(env, nullptr, 0) : kWireSeed;
+  }();
+  return seed;
+}
+
+/// One framing rule for every message: a strict prefix of a valid frame, a
+/// valid frame plus one byte, and a bool byte of 2 all fail to decode.
+/// WATZ_WIRE_SEED=0x<s> replays the run on other frames.
+TEST(GatewayProtocolTest, FramingRuleHoldsForEveryMessage) {
+  std::printf("framing rule seed: WATZ_WIRE_SEED=0x%llx\n",
+              static_cast<unsigned long long>(wire_seed()));
+  SCOPED_TRACE(::testing::Message() << "WATZ_WIRE_SEED=0x" << std::hex << wire_seed());
+  for (const WireCase& c : wire_cases(wire_seed())) {
+    SCOPED_TRACE(c.name);
+    std::size_t bools_seen = 0;
+    for (std::size_t k = 0; k < c.frames.size(); ++k) {
+      const Bytes& frame = c.frames[k];
+      ASSERT_TRUE(c.decodes(frame));
+      for (std::size_t cut = 0; cut < frame.size(); ++cut)
+        EXPECT_FALSE(c.decodes(ByteView(frame.data(), cut))) << "prefix of length " << cut;
+      Bytes longer = frame;
+      longer.push_back(0x00);
+      EXPECT_FALSE(c.decodes(longer)) << "frame " << k << " plus one byte decoded";
+      for (const std::size_t at : c.bool_at[k]) {
+        Bytes bad = frame;
+        bad[at] = 2;
+        EXPECT_FALSE(c.decodes(bad)) << "frame " << k << ": bool byte 2 at " << at;
+      }
+      bools_seen += c.bool_at[k].size();
+    }
+    // Every bool field is at some offset of some frame.
+    EXPECT_GE(bools_seen, c.bool_fields);
   }
 }
 
