@@ -1363,9 +1363,6 @@ GatewayStats Gateway::stats(bool detail) {
   stats.invoke_memo_hits = invoke_memo_hits_.get();
   stats.migrations = migrations_.get();
   stats.prewarm_prepares = prewarm_prepares_.get();
-  stats.queue_delay_p50_ns = queue_delay_hist_.percentile(0.50);
-  stats.queue_delay_p90_ns = queue_delay_hist_.percentile(0.90);
-  stats.queue_delay_p99_ns = queue_delay_hist_.percentile(0.99);
   stats.stage_queue = stage_summary(queue_delay_hist_);
   stats.stage_exec = stage_summary(stage_exec_hist_);
   stats.stage_tee_entry = stage_summary(stage_tee_entry_hist_);

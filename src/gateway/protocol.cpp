@@ -375,8 +375,7 @@ void fields(Io& io, M& m) {
                   &m.queue_full_rejections, &m.deduped_lanes, &m.evidence_renewals,
                   &m.tier_up_compiles, &m.native_entries, &m.jit_fallback_ops,
                   &m.jit_fallback_call, &m.invoke_memo_hits, &m.migrations,
-                  &m.prewarm_prepares, &m.queue_delay_p50_ns, &m.queue_delay_p90_ns,
-                  &m.queue_delay_p99_ns})
+                  &m.prewarm_prepares})
     io.u64(*f);
   for (auto* stage : {&m.stage_queue, &m.stage_exec, &m.stage_tee_entry, &m.stage_ra,
                       &m.stage_jit_compile})

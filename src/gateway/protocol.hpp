@@ -299,8 +299,8 @@ struct DeviceStats {
   /// prewarmed module's first invoke is a cache HIT, not a miss).
   std::uint64_t cache_prewarms = 0;
   /// Queueing-delay percentiles for THIS device's run queues (log2-bucket
-  /// upper bounds, like the gateway-wide ones), so a slow device is not
-  /// averaged away behind its fleet.
+  /// upper bounds, like the gateway-wide stage_queue), so a slow device is
+  /// not averaged away behind its fleet.
   std::uint64_t queue_delay_p50_ns = 0;
   std::uint64_t queue_delay_p90_ns = 0;
   std::uint64_t queue_delay_p99_ns = 0;
@@ -388,15 +388,11 @@ struct GatewayStats {
   /// Module prepares pushed to enrolled devices by the background prewarm
   /// sweep (cross-device ModuleCache::prepare, so failover lands warm).
   std::uint64_t prewarm_prepares = 0;
-  /// Queueing-delay percentiles over every work item admitted to a backend
-  /// run queue (admission timestamp -> worker pickup), from a log2
-  /// histogram: values are bucket upper bounds, 0 when nothing ran yet.
-  std::uint64_t queue_delay_p50_ns = 0;
-  std::uint64_t queue_delay_p90_ns = 0;
-  std::uint64_t queue_delay_p99_ns = 0;
   /// Per-stage latency histograms of the invoke pipeline, serialised from
   /// the gateway's obs::Registry (stage.queue / stage.exec /
-  /// stage.tee_entry / stage.ra).
+  /// stage.tee_entry / stage.ra). stage_queue is the queueing delay of
+  /// every work item admitted to a backend run queue (admission timestamp
+  /// -> worker pickup).
   StageStats stage_queue;
   StageStats stage_exec;
   StageStats stage_tee_entry;

@@ -176,8 +176,8 @@ TEST_F(GatewayTest, BatchedAttachAmortisesRaRoundTrips) {
   for (const RaShardStats& s : stats->ra_shards) shard_handshakes += s.handshakes;
   EXPECT_EQ(shard_handshakes, stats->handshakes_run);
   // Queueing-delay percentiles are live once work items have run.
-  EXPECT_GT(stats->queue_delay_p50_ns, 0u);
-  EXPECT_GE(stats->queue_delay_p99_ns, stats->queue_delay_p50_ns);
+  EXPECT_GT(stats->stage_queue.p50_ns, 0u);
+  EXPECT_GE(stats->stage_queue.p99_ns, stats->stage_queue.p50_ns);
 }
 
 /// Single-device fleet: deterministic placement for staleness tests.
@@ -1204,15 +1204,10 @@ TEST(GatewayProtocolTest, AttachBatchFraming) {
 
   // The new stats surfaces round-trip too.
   GatewayStats stats;
-  stats.queue_delay_p50_ns = 1 << 10;
-  stats.queue_delay_p90_ns = 1 << 14;
-  stats.queue_delay_p99_ns = 1 << 20;
   stats.ra_shards.push_back(RaShardStats{10, 9, 1, 9});
   stats.ra_shards.push_back(RaShardStats{4, 4, 0, 2});
   auto stats2 = GatewayStats::decode(stats.encode());
   ASSERT_TRUE(stats2.ok()) << stats2.error();
-  EXPECT_EQ(stats2->queue_delay_p50_ns, 1u << 10);
-  EXPECT_EQ(stats2->queue_delay_p99_ns, 1u << 20);
   ASSERT_EQ(stats2->ra_shards.size(), 2u);
   EXPECT_EQ(stats2->ra_shards[0].msg0s, 10u);
   EXPECT_EQ(stats2->ra_shards[0].handshakes, 9u);
@@ -1378,9 +1373,6 @@ TEST(GatewayProtocolTest, ObservabilityFraming) {
   stats.queue_full_rejections = 3;
   stats.deduped_lanes = 24;
   stats.evidence_renewals = 5;
-  stats.queue_delay_p50_ns = 1 << 12;
-  stats.queue_delay_p90_ns = 1 << 16;
-  stats.queue_delay_p99_ns = 1 << 21;
   stats.stage_queue = StageStats{1000, 1 << 12, 1 << 16, 1 << 21};
   stats.stage_exec = StageStats{1000, 1 << 15, 1 << 17, 1 << 18};
   stats.stage_tee_entry = StageStats{2000, 1 << 17, 1 << 17, 1 << 17};
@@ -1531,8 +1523,7 @@ GatewayStats gen_stats(WireGen& g, int i) {
        {&s.sessions_active, &s.sessions_total, &s.handshakes_run, &s.handshakes_reused,
         &s.modules_registered, &s.invocations, &s.queue_full_rejections, &s.deduped_lanes,
         &s.evidence_renewals, &s.tier_up_compiles, &s.native_entries, &s.jit_fallback_ops,
-        &s.jit_fallback_call, &s.invoke_memo_hits, &s.migrations, &s.prewarm_prepares,
-        &s.queue_delay_p50_ns, &s.queue_delay_p90_ns, &s.queue_delay_p99_ns})
+        &s.jit_fallback_call, &s.invoke_memo_hits, &s.migrations, &s.prewarm_prepares})
     *f = g.u64();
   for (StageStats* st :
        {&s.stage_queue, &s.stage_exec, &s.stage_tee_entry, &s.stage_ra, &s.stage_jit_compile})
@@ -1703,7 +1694,7 @@ TEST(GatewayProtocolTest, FramesArePinned) {
       {"InvokeBatchRequest", "25ddc4341b8d0c19d082dad117a7fdae43a6272e26357072d195382774ed3d01"},
       {"InvokeBatchResponse", "f3f95485c484c1e54c9d12f514b5bee6e008f6f2a3ead7f328ee17f576fc2590"},
       {"StatsRequest", "3d11c52fed16378a6e88b755fb43c2cbe19842d2e9fce2383bbcf877101f1090"},
-      {"GatewayStats", "29959dde5369c3622ea89778b6c0262ad98d3d735e616b923cd6760ab31f39d5"},
+      {"GatewayStats", "056ae3638fca7fa378a4694d9f126595610e1dd12ccbbb49a2d70c562194307f"},
       {"DetachRequest", "853c174cad010cebb9add003eeeef6b38e146ddf2aee0f2dc1cc83d288fdcd74"},
   };
   const std::vector<WireCase> cases = wire_cases(kWireSeed);
