@@ -101,11 +101,12 @@ void SpanSink::record(const SpanRecord& record) noexcept {
   const std::uint64_t index = ring->cursor++;
   Cell& cell = ring->cells[index % capacity_];
   // Per-cell seqlock: odd marks in-progress so a concurrent drain skips
-  // the cell instead of returning a torn record.
+  // the cell instead of returning a torn record. Each word store is a
+  // release, so a drain that reads any new word also sees the odd mark
+  // when it re-checks seq (no standalone fence, which TSan cannot model).
   cell.seq.store(2 * index + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
   for (std::size_t w = 0; w < words.size(); ++w)
-    cell.words[w].store(words[w], std::memory_order_relaxed);
+    cell.words[w].store(words[w], std::memory_order_release);
   cell.seq.store(2 * index + 2, std::memory_order_release);
   ring->head.store(index + 1, std::memory_order_release);
 }
@@ -128,9 +129,10 @@ std::vector<SpanRecord> SpanSink::drain() {
         continue;
       }
       std::array<std::uint64_t, 6> words;
+      // Acquire word loads pair with the writer's release word stores and
+      // keep the re-check below after them.
       for (std::size_t w = 0; w < words.size(); ++w)
-        words[w] = cell.words[w].load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
+        words[w] = cell.words[w].load(std::memory_order_acquire);
       if (cell.seq.load(std::memory_order_relaxed) != want) {
         dropped_.fetch_add(1, std::memory_order_relaxed);
         continue;
