@@ -134,13 +134,11 @@ std::size_t ShardedVerifier::route_session(std::uint64_t session_id, bool openin
   const auto it = routes_.find(session_id);
   if (it != routes_.end()) return it->second.shard;
   if (!opening) return shard_for(session_id);  // mid-protocol stray: hash
+  // Least-open-handshakes placement; the hash shard wins ties so a quiet
+  // verifier still spreads by id instead of piling on shard 0.
   std::size_t shard = shard_for(session_id);
-  if (config_.depth_routing) {
-    // Least-open-handshakes placement; the hash shard wins ties so a
-    // quiet verifier still spreads by id instead of piling on shard 0.
-    for (std::size_t s = 0; s < depths_.size(); ++s)
-      if (depths_[s] < depths_[shard]) shard = s;
-  }
+  for (std::size_t s = 0; s < depths_.size(); ++s)
+    if (depths_[s] < depths_[shard]) shard = s;
   routes_[session_id] = Route{shard, true};
   ++depths_[shard];
   return shard;

@@ -8,8 +8,8 @@
 // that instant, recorded in a routing table so the session's later frames
 // (msg2) land on the same shard — the protocol is stateful per session.
 // Hash routing (splitmix64 of the session id) survives only as the
-// fallback for frames whose session was never depth-routed (and as the
-// `depth_routing = false` escape hatch). Depth routing is what keeps an
+// fallback for frames whose session was never depth-routed, and as the
+// tie-break between equally deep shards. Depth routing is what keeps an
 // attach storm's lanes level across shards even when the id structure is
 // skewed or a shard is slowed by a long appraisal.
 //
@@ -46,10 +46,6 @@ struct ShardedVerifierConfig {
   /// into overlap on any host. 0 (the default) disables the charge; tests
   /// keep it off.
   std::uint64_t appraisal_latency_ns = 0;
-  /// Route new handshakes to the shard with the fewest open handshakes
-  /// (recorded in a sticky per-session routing table) instead of by
-  /// splitmix64(session id). false restores pure hash routing.
-  bool depth_routing = true;
 };
 
 struct VerifierShardStats {
