@@ -1,10 +1,8 @@
 // Ablation — AOT (pre-translated register IR) vs in-place interpretation.
 // The paper reports AOT ~28x faster than interpretation (SS III), which
 // motivated extending the OP-TEE kernel with executable-page support.
-// Also measures the boundary-crossing amplification for syscall-heavy
-// guests (the cost WASI calls pay in the TEE).
-#include <benchmark/benchmark.h>
-
+// Each kernel runs under both modes (median of 3 invokes each); the
+// summary is the AOT/interpreter ratio per kernel and on average.
 #include "bench/harness.hpp"
 #include "polybench/suite.hpp"
 #include "wcc/compiler.hpp"
@@ -23,49 +21,11 @@ std::unique_ptr<wasm::Instance> kernel_instance(const char* name, wasm::ExecMode
   return bench::instantiate_ree(*binary, kNoImports, mode);
 }
 
-void run_kernel(benchmark::State& state, const char* name, wasm::ExecMode mode, int n) {
-  auto inst = kernel_instance(name, mode);
-  const std::vector<wasm::Value> arg = {wasm::Value::from_i32(n)};
-  for (auto _ : state) {
-    auto r = inst->invoke("run", arg);
-    benchmark::DoNotOptimize(r);
-  }
-}
-
-void BM_gemm_aot(benchmark::State& state) {
-  run_kernel(state, "gem", wasm::ExecMode::Aot, 24);
-}
-void BM_gemm_interp(benchmark::State& state) {
-  run_kernel(state, "gem", wasm::ExecMode::Interp, 24);
-}
-void BM_jacobi_aot(benchmark::State& state) {
-  run_kernel(state, "j1d", wasm::ExecMode::Aot, 400);
-}
-void BM_jacobi_interp(benchmark::State& state) {
-  run_kernel(state, "j1d", wasm::ExecMode::Interp, 400);
-}
-void BM_floyd_aot(benchmark::State& state) {
-  run_kernel(state, "flo", wasm::ExecMode::Aot, 24);
-}
-void BM_floyd_interp(benchmark::State& state) {
-  run_kernel(state, "flo", wasm::ExecMode::Interp, 24);
-}
-
-BENCHMARK(BM_gemm_aot)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_gemm_interp)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_jacobi_aot)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_jacobi_interp)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_floyd_aot)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_floyd_interp)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
-  // Summary: explicit AOT/interp ratio (the paper's 28x claim).
+int main() {
   using namespace watz;
+  std::printf("%6s | %12s %12s\n", "kernel", "aot_us", "interp_us");
   double ratio_sum = 0;
   int count = 0;
   struct Probe {
@@ -80,6 +40,7 @@ int main(int argc, char** argv) {
         bench::median_ns(3, [&] { (void)aot->invoke("run", arg); });
     const std::uint64_t t_interp =
         bench::median_ns(3, [&] { (void)interp->invoke("run", arg); });
+    std::printf("%6s | %12.1f %12.1f\n", probe.name, bench::us(t_aot), bench::us(t_interp));
     const double ratio = static_cast<double>(t_interp) / static_cast<double>(t_aot);
     std::printf("AOT speedup over interpreter, %s: %.1fx\n", probe.name, ratio);
     ratio_sum += ratio;
