@@ -15,7 +15,7 @@ namespace watz::gateway {
 
 namespace {
 
-/// The field list of T: `m` is a const T on the write side.
+/// Selects T's field list for M = T (read side) and M = const T (write side).
 template <class M, class T>
 concept Wire = std::same_as<std::remove_const_t<M>, T>;
 
@@ -70,7 +70,6 @@ class Writer {
   }
 
   // Rules that hold for decoded frames only.
-  static constexpr bool ok() { return true; }
   void require(bool, const char*) {}
   template <class T>
   void unique_lanes(const std::vector<T>&) {}
@@ -79,8 +78,8 @@ class Writer {
   Bytes& out_;
 };
 
-/// Keeps the first error; after it reads nothing more, and every list it
-/// reports is empty, so no loop runs on bad input.
+/// Keeps the first error. After it, reads nothing more and sizes no list,
+/// so no loop runs on bad input.
 class Reader {
  public:
   explicit Reader(ByteReader& r) : r_(r) {}
