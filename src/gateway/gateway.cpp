@@ -129,7 +129,9 @@ Status Gateway::start() {
   const bool pump_tiering = config_.jit_tiering && wasm::jit::jit_available();
   if ((renew_evidence || pump_tiering || config_.module_prewarm) &&
       !renew_thread_.joinable())
-    renew_thread_ = std::thread([this] { renewal_loop(); });
+    renew_thread_ = std::thread([this, renew_evidence, pump_tiering] {
+      renewal_loop(renew_evidence, pump_tiering);
+    });
 
   started_ = true;
   return {};
@@ -168,9 +170,10 @@ Status Gateway::add_device(core::Device& device) {
     // second mutex over its one primary monitor would let a mid-flight
     // handshake and a new one enter that monitor at once.
     std::lock_guard<std::mutex> lock(backend->state_mu);
-    backend->device = &device;
-    if (!backend->control || &backend->control->device() != &device)
-      backend->control = std::make_shared<core::DeviceControl>(device, pool);
+    Backend::State& state = backend->state;
+    state.device = &device;
+    if (!state.control || &state.control->device() != &device)
+      state.control = std::make_shared<core::DeviceControl>(device, pool);
     // The warm pool hands instances out per slot; widen the per-module
     // pool so every slot can park one (0 stays 0: pooling disabled).
     ModuleCacheConfig cache_config = config_.cache;
@@ -186,17 +189,17 @@ Status Gateway::add_device(core::Device& device) {
     // worker, reading them.
     const core::JitTierOptions jit{config_.jit_tiering, config_.jit_hot_calls};
     if (device.runtime().jit_options() != jit) device.runtime().set_jit_options(jit);
-    backend->cache = std::make_shared<ModuleCache>(
+    state.cache = std::make_shared<ModuleCache>(
         device.runtime(), cache_config,
         wasm::jit::TierSinks{.compiles = &tier_up_compiles_,
                              .native_entries = &native_entries_,
                              .fallback_ops = &jit_fallback_ops_,
                              .fallback_call = &jit_fallback_call_,
                              .compile_ns = &tier_compile_ns_hist_});
-    backend->attester_rng = std::make_shared<crypto::Fortuna>(
+    state.attester_rng = std::make_shared<crypto::Fortuna>(
         device.os().huk_subkey_derive("watz-gateway-attester-v1"));
-    backend->platform_claim = platform_claim(device);
-    ++backend->boot_count;
+    state.platform_claim = platform_claim(device);
+    ++state.boot_count;
 
     // Wire this enrolment into the metrics plane. The registry hands out
     // stable addresses, so the monitors and the per-device histogram
@@ -205,12 +208,12 @@ Status Gateway::add_device(core::Device& device) {
     device.monitor().set_transition_histograms(&stage_tee_entry_hist_,
                                                &stage_tee_exit_hist_);
     for (std::size_t i = 0; i < pool; ++i)
-      backend->control->slot(i).monitor().set_transition_histograms(
+      state.control->slot(i).monitor().set_transition_histograms(
           &stage_tee_entry_hist_, &stage_tee_exit_hist_);
     const std::string prefix = "device." + backend->hostname + ".";
     if (backend->queue_delay_hist == nullptr)
       backend->queue_delay_hist = &registry_.histogram(prefix + "queue_delay");
-    const ModuleCache& cache = *backend->cache;
+    const ModuleCache& cache = *state.cache;
     registry_.link_counter(prefix + "cache.hits", &cache.hits_counter());
     registry_.link_counter(prefix + "cache.misses", &cache.misses_counter());
     registry_.link_counter(prefix + "cache.evictions", &cache.evictions_counter());
@@ -226,23 +229,28 @@ Status Gateway::add_device(core::Device& device) {
 
   // Broadcast to every shard (ShardedVerifier locks one shard at a time).
   verifier_->endorse_device(device.attestation_service().public_key());
-  verifier_->add_reference_measurement(backend->platform_claim);
+  verifier_->add_reference_measurement(backend->state.platform_claim);
   return {};
 }
 
 // -- worker fabric -----------------------------------------------------------
 
-Status Gateway::post(Slot& slot, std::function<void(std::uint64_t)> task,
-                     bool force) {
+template <class Fn>
+auto Gateway::submit(Slot& slot, Fn fn, bool force)
+    -> Result<std::future<std::invoke_result_t<Fn&, std::uint64_t>>> {
+  using T = std::invoke_result_t<Fn&, std::uint64_t>;
+  using R = Result<std::future<T>>;
+  auto promise = std::make_shared<std::promise<T>>();
+  std::future<T> future = promise->get_future();
   {
     std::lock_guard<std::mutex> lock(slot.queue_mu);
-    if (slot.stop) return Status::err("gateway: shutting down");
+    if (slot.stop) return R::err("gateway: shutting down");
     const std::uint32_t depth = slot.inflight.load(std::memory_order_relaxed);
     if (!force && depth >= config_.worker_queue_capacity) {
       slot.queue_full_rejections.add();
-      return Status::err(std::string(kQueueFullPrefix) + ": " +
-                         slot.backend->hostname + "#" + std::to_string(slot.index) +
-                         " run queue at capacity (" + std::to_string(depth) + ")");
+      return R::err(std::string(kQueueFullPrefix) + ": " + slot.backend->hostname +
+                    "#" + std::to_string(slot.index) + " run queue at capacity (" +
+                    std::to_string(depth) + ")");
     }
     const std::uint32_t now_inflight = depth + 1;
     slot.inflight.store(now_inflight, std::memory_order_relaxed);
@@ -253,10 +261,43 @@ Status Gateway::post(Slot& slot, std::function<void(std::uint64_t)> task,
     // Admission timestamp: the worker measures pickup - admission as the
     // item's queueing delay (the STATS percentiles and the per-response
     // queue_delay_ns both come from this stamp).
-    slot.queue.push_back(Slot::WorkItem{hw::monotonic_ns(), std::move(task)});
+    slot.queue.push_back(Slot::WorkItem{
+        hw::monotonic_ns(),
+        [&slot, fn = std::move(fn), promise](std::uint64_t queue_delay_ns) mutable {
+          T result = fn(queue_delay_ns);
+          slot.inflight.fetch_sub(1, std::memory_order_release);
+          promise->set_value(std::move(result));
+        }});
   }
   slot.queue_cv.notify_one();
-  return {};
+  return R(std::move(future));
+}
+
+template <class T, class Fn>
+std::vector<T> Gateway::on_control_lanes(const std::vector<Backend*>& backends,
+                                         const T& stopped, Fn fn) {
+  // Fan first, collect second: waiting inside the loop would serialise the
+  // fleet. The items reference `fn` and `stopped` in place: every posted
+  // one is awaited below, before they go away.
+  std::vector<Result<std::future<T>>> fanned;
+  fanned.reserve(backends.size());
+  for (std::size_t i = 0; i < backends.size(); ++i)
+    fanned.push_back(submit(
+        *backends[i]->slots.front(),
+        [this, &fn, &stopped, i](std::uint64_t) -> T {
+          return stopping_.load(std::memory_order_acquire) ? stopped : fn(i);
+        },
+        /*force=*/true));
+  std::vector<T> out;
+  out.reserve(fanned.size());
+  for (Result<std::future<T>>& item : fanned)
+    out.push_back(item.ok() ? item->get() : stopped);
+  return out;
+}
+
+std::vector<Gateway::Backend*> Gateway::fleet() {
+  std::lock_guard<std::mutex> lock(backends_mu_);
+  return backend_order_;
 }
 
 void Gateway::worker_loop(Slot& slot) {
@@ -277,10 +318,10 @@ void Gateway::worker_loop(Slot& slot) {
       slot.backend->queue_delay_hist->record(delay);
     // On shutdown the loop still drains every queued item: each one
     // observes stopping_ and fails fast, fulfilling its promise so no
-    // admitted request is ever left dangling. Each task decrements
-    // inflight itself, just BEFORE publishing its result — so admission
-    // capacity is provably free by the time a waiter observes completion
-    // (decrementing here, after the task, would let a hot client see the
+    // admitted request is ever left dangling. submit()'s item decrements
+    // inflight just BEFORE publishing its result — so admission capacity
+    // is provably free by the time a waiter observes completion
+    // (decrementing here, after the item, would let a hot client see the
     // completion and get bounced before this thread is rescheduled).
     item.run(delay);
   }
@@ -373,12 +414,8 @@ Result<Bytes> Gateway::handle_attach_batch(std::uint64_t conn, ByteView request)
 Result<AttachBatchResponse> Gateway::attach_sessions(
     std::uint64_t conn, const std::vector<std::string>& clients) {
   using R = Result<AttachBatchResponse>;
-  std::vector<Backend*> fleet;
-  {
-    std::lock_guard<std::mutex> lock(backends_mu_);
-    fleet = backend_order_;
-  }
-  if (fleet.empty()) return R::err("gateway: no devices enrolled");
+  const std::vector<Backend*> backends = fleet();
+  if (backends.empty()) return R::err("gateway: no devices enrolled");
 
   const std::uint64_t now = hw::monotonic_ns();
   std::vector<SessionPtr> sessions;
@@ -386,89 +423,32 @@ Result<AttachBatchResponse> Gateway::attach_sessions(
   for (const std::string& client : clients)
     sessions.push_back(sessions_.attach(client, now));
 
-  // One forced work item per backend, on its control lane (slot 0): the
-  // item runs a single batched protocol exchange covering EVERY session —
-  // lane i is session i — so each device pays two RA round-trips for the
-  // whole batch instead of two per session, and the fleet's batches run in
-  // parallel across the backends' control lanes.
-  struct DeviceLanes {
-    std::uint32_t fabric_exchanges = 0;
-    std::vector<Result<std::uint32_t>> lanes;  // RA exchanges per session
-  };
-  struct Fanned {
-    Backend* backend = nullptr;
-    std::shared_ptr<std::promise<DeviceLanes>> promise;
-    std::future<DeviceLanes> future;
-  };
-  std::vector<Fanned> pending;
-  for (Backend* backend : fleet) {
-    auto promise = std::make_shared<std::promise<DeviceLanes>>();
-    auto future = promise->get_future();
-    Slot* control_lane = backend->slots.front().get();
-    Status admitted = post(
-        *control_lane,
-        [this, backend, control_lane, sessions, promise](std::uint64_t) {
-          DeviceLanes out;
-          out.lanes.assign(sessions.size(),
-                           Result<std::uint32_t>::err("gateway: shutting down"));
-          if (!stopping_.load(std::memory_order_acquire)) {
-            std::uint64_t boot_count = 0;
-            {
-              std::lock_guard<std::mutex> lock(backend->state_mu);
-              boot_count = backend->boot_count;
-            }
-            auto batch = run_handshake_batch(*backend, sessions.size());
-            if (!batch.ok()) {
-              for (auto& lane : out.lanes)
-                lane = Result<std::uint32_t>::err("gateway: " + backend->hostname +
-                                                  " failed appraisal: " + batch.error());
-            } else {
-              out.fabric_exchanges = batch->fabric_exchanges;
-              const std::uint64_t attested_at = hw::monotonic_ns();
-              for (std::size_t i = 0; i < sessions.size(); ++i) {
-                Result<attestation::Evidence>& lane = batch->lanes[i];
-                if (!lane.ok()) {
-                  out.lanes[i] = Result<std::uint32_t>::err(
-                      "gateway: " + backend->hostname + " failed appraisal: " +
-                      lane.error());
-                  continue;
-                }
-                Status recorded = sessions_.record_attestation(
-                    *sessions[i], backend->hostname, boot_count, attested_at,
-                    std::move(*lane));
-                out.lanes[i] = recorded.ok()
-                                   ? Result<std::uint32_t>(kRaExchangesPerHandshake)
-                                   : Result<std::uint32_t>::err(recorded.error());
-              }
-            }
-          }
-          control_lane->inflight.fetch_sub(1, std::memory_order_release);
-          promise->set_value(std::move(out));
-        },
-        /*force=*/true);
-    if (!admitted.ok()) {
-      DeviceLanes failed;
-      failed.lanes.assign(sessions.size(),
-                          Result<std::uint32_t>::err(admitted.error()));
-      promise->set_value(std::move(failed));
-    }
-    pending.push_back(Fanned{backend, std::move(promise), std::move(future)});
-  }
+  // One attest() per backend, on its control lane: a single batched
+  // protocol exchange covering EVERY session — lane i is session i — so
+  // each device pays two RA round-trips for the whole batch instead of two
+  // per session, and the fleet's batches run in parallel across the
+  // backends' control lanes.
+  Attested stopped;
+  stopped.lanes.assign(sessions.size(),
+                       Result<std::uint32_t>::err("gateway: shutting down"));
+  const std::vector<Attested> devices =
+      on_control_lanes(backends, stopped, [&](std::size_t d) {
+        return attest(*backends[d], sessions, std::nullopt);
+      });
 
   AttachBatchResponse resp;
   resp.results.resize(sessions.size());
   std::vector<std::string> last_error(sessions.size());
   for (std::size_t i = 0; i < sessions.size(); ++i)
     resp.results[i].session_id = sessions[i]->id;
-  for (Fanned& fanned : pending) {
-    DeviceLanes outcome = fanned.future.get();
-    resp.ra_fabric_exchanges += outcome.fabric_exchanges;
-    for (std::size_t i = 0; i < outcome.lanes.size(); ++i) {
-      if (outcome.lanes[i].ok()) {
+  for (const Attested& device : devices) {
+    resp.ra_fabric_exchanges += device.fabric_exchanges;
+    for (std::size_t i = 0; i < device.lanes.size(); ++i) {
+      if (device.lanes[i].ok()) {
         ++resp.results[i].devices_attested;
-        resp.results[i].ra_exchanges += *outcome.lanes[i];
+        resp.results[i].ra_exchanges += *device.lanes[i];
       } else {
-        last_error[i] = outcome.lanes[i].error();
+        last_error[i] = device.lanes[i].error();
       }
     }
   }
@@ -601,7 +581,7 @@ std::vector<Result<InvokeResponse>> Gateway::admit_lanes(
   // Placement: the session's affinity slot leads while idle (its warm pool
   // holds the instance; a busy warm slot must not collect a convoy), else
   // the cheapest slot by a full scan, and a full queue spills down the
-  // sorted cost order. post() bumps inflight at once, so lane k's scores
+  // sorted cost order. submit() bumps inflight at once, so lane k's scores
   // already see where lanes 0..k-1 landed. Slots of `failed` devices
   // (appraisal failures of this lane) are skipped.
   const auto place = [&](Admitted& lane,
@@ -609,30 +589,27 @@ std::vector<Result<InvokeResponse>> Gateway::admit_lanes(
     const std::uint64_t admit_start = lane.trace.active() ? hw::monotonic_ns() : 0;
     const std::string* key = keys.empty() ? nullptr : &keys[lane.index];
     const auto try_slot = [&](Slot& slot) -> Status {
-      auto promise = std::make_shared<std::promise<R>>();
-      std::future<R> future = promise->get_future();
       // The item reads the request and its key in place: admission awaits
       // every future it posts before `lanes` and `keys` go away.
-      Status posted = post(slot, [this, slot = &slot, session = lane.session,
-                                  &invoke = lanes[lane.index], key,
-                                  trace = lane.trace,
-                                  promise](std::uint64_t queue_delay_ns) {
-        // Install the lane's trace for everything below this frame: the
-        // cache, the monitors, the wasm executor and (via the fabric's
-        // same-thread callback) the verifier shards all emit against it.
-        obs::ScopedTrace scope(trace.active() ? &span_sink_ : nullptr,
-                               trace.trace_id, trace.span_id);
-        auto outcome = execute_invoke(*slot, session, invoke, key, queue_delay_ns);
-        slot->inflight.fetch_sub(1, std::memory_order_release);
-        promise->set_value(std::move(outcome));
-      });
-      if (!posted.ok()) return posted;
+      auto submitted = submit(
+          slot,
+          [this, slot = &slot, session = lane.session, &invoke = lanes[lane.index],
+           key, trace = lane.trace](std::uint64_t queue_delay_ns) {
+            // Install the lane's trace for everything below this frame: the
+            // cache, the monitors, the wasm executor and (via the fabric's
+            // same-thread callback) the verifier shards all emit against it.
+            obs::ScopedTrace scope(trace.active() ? &span_sink_ : nullptr,
+                                   trace.trace_id, trace.span_id);
+            return execute_invoke(*slot, session, invoke, key, queue_delay_ns);
+          },
+          /*force=*/false);
+      if (!submitted.ok()) return Status::err(submitted.error());
       lane.slot = &slot;
-      lane.future = std::move(future);
+      lane.future = std::move(*submitted);
       if (lane.trace.active())
         record_span(lane.trace, obs::Stage::Admit, admit_start,
                     static_cast<std::uint32_t>(slot.index));
-      return posted;
+      return {};
     };
     const auto eligible = [&](const Slot* slot) {
       return std::find(failed.begin(), failed.end(), slot->backend) == failed.end();
@@ -715,10 +692,7 @@ std::vector<Result<InvokeResponse>> Gateway::admit_lanes(
         continue;
       }
       if (dedup) {
-        {
-          std::lock_guard<std::mutex> lock(lane.slot->backend->state_mu);
-          lane.boot_count = lane.slot->backend->boot_count;
-        }
+        lane.boot_count = lane.slot->backend->snapshot().boot_count;
         leaders.try_emplace(keys[i], admitted.size());
       }
       admitted.push_back(std::move(lane));
@@ -781,7 +755,7 @@ std::vector<Result<InvokeResponse>> Gateway::admit_lanes(
 
 // Runs on the slot's worker thread. The guest executes on the SLOT's
 // monitor (data plane, concurrent across the pool); only a lazy handshake
-// (a one-lane run_handshake_batch) detours through the device's primary
+// (a one-session attest) detours through the device's primary
 // monitor, serialised on the DeviceControl TEE mutex. Lock discipline
 // (DESIGN.md §2): session.mu and cache.mu are leaves; neither is held
 // across the guest invoke below.
@@ -807,30 +781,21 @@ Result<InvokeResponse> Gateway::execute_invoke(Slot& slot,
                    pickup_ns - std::min(queue_delay_ns, pickup_ns), pickup_ns,
                    static_cast<std::uint32_t>(slot.index));
 
-  std::shared_ptr<ModuleCache> cache;
-  std::shared_ptr<core::DeviceControl> control;
-  std::uint64_t boot_count = 0;
-  {
-    std::lock_guard<std::mutex> lock(backend.state_mu);
-    cache = backend.cache;
-    control = backend.control;
-    boot_count = backend.boot_count;
-  }
+  const Backend::State state = backend.snapshot();
+  ModuleCache& cache = *state.cache;
   const std::string& hostname = backend.hostname;
 
   // Trust first: the session must hold fresh evidence for this device
-  // (free when cached; a TTL/boot-count miss re-runs the handshake).
+  // (free when cached; a TTL/boot-count miss drops it and re-runs the
+  // handshake, whose evidence is stamped with the time it started).
   const std::uint64_t ra_start = hw::monotonic_ns();
-  auto exchanges = sessions_.ensure_attested(
-      *session, hostname, boot_count, ra_start,
-      [&]() -> Result<attestation::Evidence> {
-        auto batch = run_handshake_batch(backend, 1);
-        if (!batch.ok()) return Result<attestation::Evidence>::err(batch.error());
-        return std::move(batch->lanes.front());
-      });
-  if (!exchanges.ok()) return R::err(exchanges.error());
+  std::uint32_t exchanges = 0;
   std::uint64_t ra_ns = 0;
-  if (*exchanges > 0) {
+  if (!sessions_.reuse_fresh(*session, hostname, state.boot_count, ra_start)) {
+    Result<std::uint32_t> lane =
+        std::move(attest(backend, {&session, 1}, ra_start).lanes.front());
+    if (!lane.ok()) return R::err(lane.error());
+    exchanges = *lane;
     // Only a lazy handshake on the critical path counts as RA latency; a
     // fresh-evidence hit is the amortisation working as intended.
     ra_ns = hw::monotonic_ns() - ra_start;
@@ -842,7 +807,7 @@ Result<InvokeResponse> Gateway::execute_invoke(Slot& slot,
   // copied out so the worker never holds a view into a registry another
   // client may be evicting.
   Bytes binary;
-  if (!cache->contains(request.measurement)) binary = copy_binary(request.measurement);
+  if (!cache.contains(request.measurement)) binary = copy_binary(request.measurement);
 
   core::AppConfig app_config;
   app_config.heap_bytes = request.heap_bytes
@@ -850,12 +815,11 @@ Result<InvokeResponse> Gateway::execute_invoke(Slot& slot,
                               : config_.default_heap_bytes;
   // The lease is bound to THIS slot's monitor: pool hits only ever reuse
   // an instance this slot parked, so no sandbox is driven by two threads.
-  tz::SecureMonitor& slot_monitor = control->slot(slot.index).monitor();
+  tz::SecureMonitor& slot_monitor = state.control->slot(slot.index).monitor();
   const std::uint64_t enters_before = slot_monitor.enter_count();
   const std::uint64_t leaves_before = slot_monitor.leave_count();
   const std::uint64_t acquire_start = hw::monotonic_ns();
-  auto lease = cache->acquire(request.measurement, binary, app_config,
-                              &slot_monitor);
+  auto lease = cache.acquire(request.measurement, binary, app_config, &slot_monitor);
   if (!lease.ok()) return R::err(lease.error());
   const std::uint64_t acquire_end = hw::monotonic_ns();
   if (traced)
@@ -923,7 +887,7 @@ Result<InvokeResponse> Gateway::execute_invoke(Slot& slot,
   if (!result.ok()) return R::err("gateway: " + result.error());
   // Only clean exits go back to the warm pool; trapped instances are torn
   // down with their sandbox state (the lease forfeits its live pin).
-  cache->release(std::move(lease->app));
+  cache.release(std::move(lease->app));
 
   InvokeResponse resp;
   resp.results = std::move(*result);
@@ -932,7 +896,7 @@ Result<InvokeResponse> Gateway::execute_invoke(Slot& slot,
   resp.pool_hit = lease->pool_hit;
   resp.launch_ns = lease->launch_ns;
   resp.invoke_ns = invoke_ns;
-  resp.ra_exchanges = *exchanges;
+  resp.ra_exchanges = exchanges;
   resp.queue_delay_ns = queue_delay_ns;
   resp.trace_id = obs::thread_trace().trace_id;
   // Feed the result memo: a twin admitted within the TTL by any session
@@ -940,7 +904,7 @@ Result<InvokeResponse> Gateway::execute_invoke(Slot& slot,
   // chaos-replayed delivery of THIS request redeems it instead of
   // executing again.
   if (memo_key != nullptr && config_.invoke_memo_ttl_ns != 0)
-    memo_store(*memo_key, resp, hostname, boot_count, session->id);
+    memo_store(*memo_key, resp, hostname, state.boot_count, session->id);
   return resp;
 }
 
@@ -984,22 +948,41 @@ void Gateway::memo_store(const std::string& key, const InvokeResponse& response,
   memo_.store(key, std::move(entry), hw::monotonic_ns());
 }
 
+Gateway::Attested Gateway::attest(Backend& backend,
+                                  std::span<const SessionPtr> sessions,
+                                  std::optional<std::uint64_t> stamp_ns) {
+  const std::uint64_t boot_count = backend.snapshot().boot_count;
+  // Session migration keys on this prefix (is_appraisal_failure).
+  const std::string failed = "gateway: " + backend.hostname + " failed appraisal: ";
+  Attested out;
+  auto batch = run_handshake_batch(backend, sessions.size());
+  if (!batch.ok()) {
+    out.lanes.assign(sessions.size(), Result<std::uint32_t>::err(failed + batch.error()));
+    return out;
+  }
+  out.fabric_exchanges = batch->fabric_exchanges;
+  const std::uint64_t attested_at = stamp_ns ? *stamp_ns : hw::monotonic_ns();
+  out.lanes.reserve(sessions.size());
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    Result<attestation::Evidence>& lane = batch->lanes[i];
+    if (!lane.ok()) {
+      out.lanes.push_back(Result<std::uint32_t>::err(failed + lane.error()));
+      continue;
+    }
+    Status recorded = sessions_.record_attestation(
+        *sessions[i], backend.hostname, boot_count, attested_at, std::move(*lane));
+    out.lanes.push_back(recorded.ok() ? Result<std::uint32_t>(kRaExchangesPerHandshake)
+                                      : Result<std::uint32_t>::err(recorded.error()));
+  }
+  return out;
+}
+
 Result<Gateway::BatchHandshake> Gateway::run_handshake_batch(Backend& backend,
                                                              std::size_t lanes) {
   using R = Result<BatchHandshake>;
   const std::string& hostname = backend.hostname;
-  core::Device* device_snapshot = nullptr;
-  std::shared_ptr<core::DeviceControl> control;
-  std::shared_ptr<crypto::Fortuna> rng;
-  crypto::Sha256Digest claim;
-  {
-    std::lock_guard<std::mutex> lock(backend.state_mu);
-    device_snapshot = backend.device;
-    control = backend.control;
-    rng = backend.attester_rng;
-    claim = backend.platform_claim;
-  }
-  core::Device& device = *device_snapshot;
+  const Backend::State state = backend.snapshot();
+  core::Device& device = *state.device;
   // One TEE entry covers the whole batch: `lanes` attester state machines
   // advance in lockstep, and each protocol step crosses the fabric ONCE as
   // a batch frame (ra/messages.hpp) instead of once per session. Control
@@ -1007,7 +990,7 @@ Result<Gateway::BatchHandshake> Gateway::run_handshake_batch(Backend& backend,
   // against every other handshake of this board. The attester's socket
   // calls are relayed by the supplicant across the fabric to the gateway's
   // RA endpoint (the SS V deployment, with the gateway as relying party).
-  std::lock_guard<std::mutex> tee_lock(control->tee_mutex());
+  std::lock_guard<std::mutex> tee_lock(state.control->tee_mutex());
   return device.monitor().smc_call([&]() -> R {
     optee::Supplicant* supplicant = device.os().supplicant();
     if (!supplicant) return R::err("gateway: " + hostname + ": no supplicant");
@@ -1019,7 +1002,7 @@ Result<Gateway::BatchHandshake> Gateway::run_handshake_batch(Backend& backend,
     std::vector<ra::AttesterSession> attesters;
     attesters.reserve(lanes);
     for (std::size_t i = 0; i < lanes; ++i)
-      attesters.emplace_back(*rng, verifier_->identity_key());
+      attesters.emplace_back(*state.attester_rng, verifier_->identity_key());
 
     auto conn = supplicant->socket_connect(config_.hostname, config_.ra_port);
     if (!conn.ok()) return R::err(conn.error());
@@ -1055,7 +1038,7 @@ Result<Gateway::BatchHandshake> Gateway::run_handshake_batch(Backend& backend,
       auto msg2 = attesters[item.lane].handle_msg1(
           item.payload, [&](const std::array<std::uint8_t, 32>& anchor) {
             evidences[item.lane] =
-                device.attestation_service().issue_evidence(anchor, claim);
+                device.attestation_service().issue_evidence(anchor, state.platform_claim);
             return evidences[item.lane];
           });
       if (!msg2.ok()) {
@@ -1095,77 +1078,42 @@ Result<Gateway::BatchHandshake> Gateway::run_handshake_batch(Backend& backend,
 std::size_t Gateway::sweep_evidence_renewals() {
   const std::uint64_t ttl = config_.session_policy.evidence_ttl_ns;
   if (ttl == ~0ull) return 0;  // infinite TTL: nothing ever goes stale
-  // Renew at ~80% of the TTL: early enough that the batch completes before
-  // expiry, late enough not to double the handshake rate.
+  // Renew past ~80% of the TTL: early enough that the batch completes
+  // before expiry, late enough not to double the handshake rate.
   const std::uint64_t threshold = ttl - ttl / 5;
 
-  std::vector<Backend*> fleet;
-  {
-    std::lock_guard<std::mutex> lock(backends_mu_);
-    fleet = backend_order_;
+  // One attest() per device with sessions due, on its control lane — all
+  // N sessions re-prove in 2 fabric round-trips per device, and the
+  // DEVICES renew in parallel, so late-ordered devices' evidence does not
+  // lapse while the sweep works through the fleet. A device with nothing
+  // due gets no control-lane item.
+  std::vector<Backend*> backends;
+  std::vector<std::vector<SessionPtr>> due;
+  for (Backend* backend : fleet()) {
+    auto sessions =
+        sessions_.renewal_candidates(backend->hostname, backend->snapshot().boot_count,
+                                     hw::monotonic_ns(), threshold);
+    if (sessions.empty()) continue;
+    backends.push_back(backend);
+    due.push_back(std::move(sessions));
   }
-  // Fan first, collect second (the attach_sessions shape): one forced
-  // control-lane item per device, reusing the batched handshake machinery
-  // — all N sessions re-prove in 2 fabric round-trips per device, and the
-  // DEVICES renew in parallel. Waiting inside the loop would serialise
-  // the fleet and let late-ordered devices' evidence lapse before the
-  // sweep reaches them.
-  std::vector<std::future<std::size_t>> fanned;
-  for (Backend* backend : fleet) {
-    std::uint64_t boot_count = 0;
-    {
-      std::lock_guard<std::mutex> lock(backend->state_mu);
-      boot_count = backend->boot_count;
-    }
-    auto due = sessions_.renewal_candidates(backend->hostname, boot_count,
-                                            hw::monotonic_ns(), threshold);
-    if (due.empty()) continue;
-
-    auto promise = std::make_shared<std::promise<std::size_t>>();
-    auto future = promise->get_future();
-    Slot* control_lane = backend->slots.front().get();
-    Status admitted = post(
-        *control_lane,
-        [this, backend, control_lane, due, promise](std::uint64_t) {
-          std::size_t renewed = 0;
-          if (!stopping_.load(std::memory_order_acquire)) {
-            std::uint64_t boot = 0;
-            {
-              std::lock_guard<std::mutex> lock(backend->state_mu);
-              boot = backend->boot_count;
-            }
-            auto batch = run_handshake_batch(*backend, due.size());
-            if (batch.ok()) {
-              const std::uint64_t attested_at = hw::monotonic_ns();
-              for (std::size_t i = 0; i < due.size(); ++i) {
-                if (!batch->lanes[i].ok()) continue;
-                if (sessions_
-                        .record_attestation(*due[i], backend->hostname, boot,
-                                            attested_at,
-                                            std::move(*batch->lanes[i]))
-                        .ok())
-                  ++renewed;
-              }
-            }
-          }
-          control_lane->inflight.fetch_sub(1, std::memory_order_release);
-          promise->set_value(renewed);
-        },
-        /*force=*/true);
-    if (admitted.ok()) fanned.push_back(std::move(future));
-  }
-  std::size_t renewed_total = 0;
-  for (std::future<std::size_t>& future : fanned) renewed_total += future.get();
+  const std::vector<std::size_t> renewed =
+      on_control_lanes(backends, std::size_t{0}, [&](std::size_t d) -> std::size_t {
+        const Attested attested = attest(*backends[d], due[d], std::nullopt);
+        return std::count_if(attested.lanes.begin(), attested.lanes.end(),
+                             [](const Result<std::uint32_t>& lane) { return lane.ok(); });
+      });
+  const std::size_t renewed_total =
+      std::accumulate(renewed.begin(), renewed.end(), std::size_t{0});
   if (renewed_total) evidence_renewals_.add(renewed_total);
   return renewed_total;
 }
 
 std::size_t Gateway::sweep_module_prewarms() {
   // Snapshot the registered binaries once (copies — a worker must never
-  // hold a view into a registry another client may be evicting), then fan
-  // one forced control-lane item per backend, each preparing whatever its
-  // cache does not hold yet, and collect. The prepares run on the
-  // backends' control lanes CONCURRENTLY across the fleet; within one
+  // hold a view into a registry another client may be evicting), then
+  // prepare on every backend's control lane whatever its cache does not
+  // hold yet. The prepares run CONCURRENTLY across the fleet; within one
   // device they serialise behind that device's control-plane work, which
   // is exactly where a Loading-phase burn belongs (never on a data slot
   // mid-storm).
@@ -1177,42 +1125,22 @@ std::size_t Gateway::sweep_module_prewarms() {
       binaries.emplace_back(measurement, registered.bytes);
   }
   if (binaries.empty()) return 0;
-  std::vector<Backend*> fleet;
-  {
-    std::lock_guard<std::mutex> lock(backends_mu_);
-    fleet = backend_order_;
-  }
   const wasm::ExecMode mode = core::AppConfig{}.mode;
-  std::vector<std::future<std::size_t>> fanned;
-  for (Backend* backend : fleet) {
-    auto promise = std::make_shared<std::promise<std::size_t>>();
-    auto future = promise->get_future();
-    Slot* control_lane = backend->slots.front().get();
-    Status admitted = post(
-        *control_lane,
-        [this, backend, control_lane, binaries, mode, promise](std::uint64_t) {
-          std::size_t prepared = 0;
-          if (!stopping_.load(std::memory_order_acquire)) {
-            std::shared_ptr<ModuleCache> cache;
-            {
-              std::lock_guard<std::mutex> lock(backend->state_mu);
-              cache = backend->cache;
-            }
-            if (cache) {
-              for (const auto& [measurement, binary] : binaries) {
-                if (cache->contains(measurement)) continue;
-                if (cache->prepare(measurement, binary, mode).ok()) ++prepared;
-              }
-            }
+  const std::vector<Backend*> backends = fleet();
+  const std::vector<std::size_t> prepared =
+      on_control_lanes(backends, std::size_t{0}, [&](std::size_t d) {
+        const std::shared_ptr<ModuleCache> cache = backends[d]->snapshot().cache;
+        std::size_t count = 0;
+        if (cache) {
+          for (const auto& [measurement, binary] : binaries) {
+            if (cache->contains(measurement)) continue;
+            if (cache->prepare(measurement, binary, mode).ok()) ++count;
           }
-          control_lane->inflight.fetch_sub(1, std::memory_order_release);
-          promise->set_value(prepared);
-        },
-        /*force=*/true);
-    if (admitted.ok()) fanned.push_back(std::move(future));
-  }
-  std::size_t prepared_total = 0;
-  for (std::future<std::size_t>& future : fanned) prepared_total += future.get();
+        }
+        return count;
+      });
+  const std::size_t prepared_total =
+      std::accumulate(prepared.begin(), prepared.end(), std::size_t{0});
   if (prepared_total) prewarm_prepares_.add(prepared_total);
   return prepared_total;
 }
@@ -1222,32 +1150,20 @@ std::size_t Gateway::sweep_tier_compiles() {
   // locks, so the whole fleet compiles on THIS (control-plane) thread —
   // no slot queue is occupied and no guest invoke is delayed. The compile
   // metric flushes ride the TierSets' bound registry sinks.
-  std::vector<Backend*> fleet;
-  {
-    std::lock_guard<std::mutex> lock(backends_mu_);
-    fleet = backend_order_;
-  }
   std::size_t compiled = 0;
-  for (Backend* backend : fleet) {
-    std::shared_ptr<ModuleCache> cache;
-    {
-      std::lock_guard<std::mutex> lock(backend->state_mu);
-      cache = backend->cache;
-    }
+  for (Backend* backend : fleet()) {
+    const std::shared_ptr<ModuleCache> cache = backend->snapshot().cache;
     if (cache) compiled += cache->sweep_tier_compiles();
   }
   return compiled;
 }
 
-void Gateway::renewal_loop() {
-  const std::uint64_t ttl = config_.session_policy.evidence_ttl_ns;
-  const bool renew_evidence = config_.evidence_renewal && ttl != ~0ull;
-  const bool pump_tiering = config_.jit_tiering && wasm::jit::jit_available();
+void Gateway::renewal_loop(bool renew_evidence, bool pump_tiering) {
   std::uint64_t interval = config_.renewal_interval_ns;
   if (interval == 0)
     // Several sweeps per TTL; with no TTL to chase (tiering-only duty) a
     // fixed cadence keeps hot functions from waiting long for native code.
-    interval = renew_evidence ? ttl / 5 : 10'000'000;
+    interval = renew_evidence ? config_.session_policy.evidence_ttl_ns / 5 : 10'000'000;
   if (interval < 100'000) interval = 100'000;  // floor: don't spin
   std::unique_lock<std::mutex> lock(renew_mu_);
   while (!renew_stop_) {
@@ -1409,10 +1325,10 @@ GatewayStats Gateway::stats(bool detail) {
       d.queue_delay_p99_ns = backend.queue_delay_hist->percentile(0.99);
     }
     {
-      std::lock_guard<std::mutex> state(backend.state_mu);
-      d.secure_heap_in_use = backend.device->os().heap_in_use();
-      d.boot_count = backend.boot_count;
-      const ModuleCache& cache = *backend.cache;
+      std::lock_guard<std::mutex> lock(backend.state_mu);
+      d.secure_heap_in_use = backend.state.device->os().heap_in_use();
+      d.boot_count = backend.state.boot_count;
+      const ModuleCache& cache = *backend.state.cache;
       d.cache_hits = cache.hits();
       d.cache_misses = cache.misses();
       d.cache_evictions = cache.evictions();

@@ -41,7 +41,6 @@
 // TrustedOs heap and one ModuleCache budget.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
@@ -53,6 +52,7 @@
 #include <optional>
 #include <span>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/device.hpp"
@@ -169,11 +169,10 @@ class Gateway {
   const GatewayConfig& config() const noexcept { return config_; }
 
   /// Runs one evidence-renewal pass NOW (what the background sweeper does
-  /// every renewal interval): for every device, re-attests — through the
-  /// batched handshake machinery, one forced control-lane item per
-  /// backend — every session whose evidence has aged past ~80% of the
-  /// TTL. Returns how many evidences were renewed. Public so tests drive
-  /// renewal deterministically.
+  /// every renewal interval): re-attests every session whose evidence has
+  /// aged past ~80% of the TTL, one batched attest() per device on its
+  /// control lane. Returns how many evidences were renewed. Public so
+  /// tests drive renewal deterministically.
   std::size_t sweep_evidence_renewals();
 
   /// Runs one native tier-up pass NOW (what the background sweeper does
@@ -185,12 +184,11 @@ class Gateway {
   std::size_t sweep_tier_compiles();
 
   /// Runs one cross-device prewarm pass NOW (what the background sweeper
-  /// does when GatewayConfig::module_prewarm is on): for every enrolled
-  /// device, pushes every registered binary the device's cache does not
-  /// hold through ModuleCache::prepare() — one forced control-lane item
-  /// per backend, prepares fanned across backends and collected like the
-  /// renewal sweep. Returns how many modules were freshly prepared across
-  /// the fleet. Public so tests drive prewarm deterministically.
+  /// does when GatewayConfig::module_prewarm is on): on every device's
+  /// control lane, pushes every registered binary its cache does not hold
+  /// through ModuleCache::prepare(). Returns how many modules were freshly
+  /// prepared across the fleet. Public so tests drive prewarm
+  /// deterministically.
   std::size_t sweep_module_prewarms();
 
  private:
@@ -200,9 +198,9 @@ class Gateway {
   /// draining a bounded MPSC run queue, bound to one core::SandboxSlot
   /// (its monitor) of the backend's current DeviceControl. All guest
   /// execution happens on slot workers; control-plane items (attach
-  /// attestation, evidence renewal) ride slot 0 — the "control lane" —
-  /// with force admission, serialising on the DeviceControl TEE mutex
-  /// inside the item.
+  /// attestation, evidence renewal, module prewarm) ride slot 0 — the
+  /// "control lane" — with force admission, serialising on the
+  /// DeviceControl TEE mutex inside the item.
   struct Slot {
     Backend* backend = nullptr;
     std::size_t index = 0;      ///< within the device pool (monitor binding)
@@ -249,13 +247,20 @@ class Gateway {
     /// a mid-flight invoke keeps the pre-reboot cache (and, on a board
     /// swap, the pre-swap device + its slot monitors) alive instead of
     /// racing the swap.
+    struct State {
+      core::Device* device = nullptr;
+      std::shared_ptr<core::DeviceControl> control;
+      std::shared_ptr<ModuleCache> cache;
+      std::shared_ptr<crypto::Fortuna> attester_rng;
+      crypto::Sha256Digest platform_claim{};
+      std::uint64_t boot_count = 0;
+    };
     std::mutex state_mu;
-    core::Device* device = nullptr;
-    std::shared_ptr<core::DeviceControl> control;
-    std::shared_ptr<ModuleCache> cache;
-    std::shared_ptr<crypto::Fortuna> attester_rng;
-    crypto::Sha256Digest platform_claim{};
-    std::uint64_t boot_count = 0;
+    State state;  ///< guarded by state_mu
+    State snapshot() {
+      std::lock_guard<std::mutex> lock(state_mu);
+      return state;
+    }
 
     /// The slot pool: fixed at first enrolment (slots_per_device), the
     /// worker threads survive re-enrolment the way the old single worker
@@ -280,10 +285,9 @@ class Gateway {
   Result<Bytes> handle_attach(std::uint64_t conn, ByteView request);
   Result<Bytes> handle_attach_batch(std::uint64_t conn, ByteView request);
   /// Shared attach fan-out: creates one session per client, attests the
-  /// whole fleet for all of them through the batched handshake path (one
-  /// forced work item per backend, lane i == session i), detaches sessions
-  /// no device would attest, links survivors to `conn`. A plain ATTACH is
-  /// a batch of one.
+  /// whole fleet for all of them (one attest() per backend on its control
+  /// lane, lane i == session i), detaches sessions no device would attest,
+  /// links survivors to `conn`. A plain ATTACH is a batch of one.
   Result<AttachBatchResponse> attach_sessions(std::uint64_t conn,
                                               const std::vector<std::string>& clients);
   Result<Bytes> handle_load_module(ByteView request);
@@ -333,18 +337,35 @@ class Gateway {
   };
   static ScoredSlot score_slot(Slot& slot);
 
-  /// Enqueues a work item on the slot's run queue, stamping its
-  /// admission time. Fails QUEUE_FULL at the bound unless `force`
-  /// (control-plane items: attach attestation, evidence renewal).
-  Status post(Slot& slot, std::function<void(std::uint64_t)> task,
-              bool force = false);
+  /// The one way work reaches a slot: enqueues `fn` on the slot's run
+  /// queue, stamping its admission time, and returns the future of
+  /// fn(queue_delay_ns). The item decrements `inflight` just BEFORE
+  /// publishing its result, so admission capacity is free by the time a
+  /// waiter observes completion. Fails (nothing enqueued) on shutdown, and
+  /// QUEUE_FULL at the bound unless `force` (control-plane items).
+  template <class Fn>
+  auto submit(Slot& slot, Fn fn, bool force)
+      -> Result<std::future<std::invoke_result_t<Fn&, std::uint64_t>>>;
   void worker_loop(Slot& slot);
 
-  /// Background sweeper (started by start() when evidence renewal has a
-  /// finite TTL to stay ahead of, or JIT tiering needs its compile pump):
-  /// wakes every renewal interval and runs sweep_evidence_renewals()
-  /// and/or sweep_tier_compiles().
-  void renewal_loop();
+  /// The control-plane fan-out: runs fn(i) as one forced item on the
+  /// control lane (slot 0) of every backends[i] — concurrently across the
+  /// fleet, so `fn` runs on several worker threads at once — and returns
+  /// the results in order. `stopped` stands in for fn(i) once the gateway
+  /// is shutting down: the item found stopping_ set, or the lane refused
+  /// the post (a forced post fails for no other reason).
+  template <class T, class Fn>
+  std::vector<T> on_control_lanes(const std::vector<Backend*>& backends,
+                                  const T& stopped, Fn fn);
+
+  /// Snapshot of the enrolled backends, in enrolment order.
+  std::vector<Backend*> fleet();
+
+  /// Background sweeper (started by start(), which decides its duties):
+  /// wakes every renewal interval and runs sweep_evidence_renewals() when
+  /// `renew_evidence`, sweep_tier_compiles() when `pump_tiering`, and
+  /// sweep_module_prewarms() when GatewayConfig::module_prewarm.
+  void renewal_loop(bool renew_evidence, bool pump_tiering);
 
   /// Result-memo lookup (gated on invoke_memo_ttl_ns != 0): the memoised
   /// response under `key` (invoke_dedup_key of the lane), if
@@ -392,6 +413,21 @@ class Gateway {
     std::uint32_t fabric_exchanges = 0;
     std::vector<Result<attestation::Evidence>> lanes;
   };
+
+  /// One device's attestation of `sessions`: per session (lane i), the RA
+  /// exchanges spent or the error ("gateway: <host> failed appraisal: ...").
+  struct Attested {
+    std::uint32_t fabric_exchanges = 0;  ///< as in BatchHandshake
+    std::vector<Result<std::uint32_t>> lanes;
+  };
+
+  /// The one attestation step (attach, renewal sweep, lazy per-invoke
+  /// handshake), synchronous on the calling thread: reads the boot count,
+  /// runs one run_handshake_batch covering every session and records each
+  /// lane's evidence, stamped `stamp_ns` or, when empty, the time the
+  /// handshake finished.
+  Attested attest(Backend& backend, std::span<const SessionPtr> sessions,
+                  std::optional<std::uint64_t> stamp_ns);
 
   /// Drives `lanes` attester sessions of the WaTZ protocol in lockstep
   /// inside the device's TEE (its PRIMARY monitor, serialised on the

@@ -2,6 +2,17 @@
 
 namespace watz::gateway {
 
+namespace {
+
+/// The one freshness rule (has_fresh, reuse_fresh, renewal_candidates):
+/// evidence taken at `boot_count` and at most `max_age_ns` old at `now_ns`.
+bool fresh(const DeviceAttestation& cached, std::uint64_t boot_count,
+           std::uint64_t now_ns, std::uint64_t max_age_ns) {
+  return cached.boot_count == boot_count && now_ns - cached.attested_at_ns <= max_age_ns;
+}
+
+}  // namespace
+
 SessionPtr SessionManager::attach(std::string client, std::uint64_t now_ns) {
   auto session = std::make_shared<Session>();
   session->client = std::move(client);
@@ -34,44 +45,17 @@ bool SessionManager::detach(std::uint64_t session_id) {
   return true;
 }
 
-Result<std::uint32_t> SessionManager::ensure_attested(Session& session,
-                                                      const std::string& device_name,
-                                                      std::uint64_t boot_count,
-                                                      std::uint64_t now_ns,
-                                                      const HandshakeFn& handshake) {
-  using R = Result<std::uint32_t>;
-  if (session.closed.load(std::memory_order_acquire))
-    return R::err("gateway: session detached");
-  {
-    std::lock_guard<std::mutex> lock(session.mu);
-    const auto it = session.attested.find(device_name);
-    if (it != session.attested.end()) {
-      const DeviceAttestation& cached = it->second;
-      const bool rebooted = cached.boot_count != boot_count;
-      const bool expired = policy_.evidence_ttl_ns != ~0ull &&
-                           now_ns - cached.attested_at_ns > policy_.evidence_ttl_ns;
-      if (!rebooted && !expired) {
-        handshakes_reused_.fetch_add(1, std::memory_order_relaxed);
-        return std::uint32_t{0};
-      }
-      session.attested.erase(it);  // stale: re-prove below
-    }
-  }
-
-  // The handshake crosses the fabric and drives the device's TEE; it runs
-  // with no session lock held so other devices attest this session in
-  // parallel. A rare duplicate handshake (two workers racing the same
-  // (session, device) key) is benign: last writer wins.
-  auto evidence = handshake();
-  if (!evidence.ok())
-    return R::err("gateway: " + device_name + " failed appraisal: " + evidence.error());
-  handshakes_run_.fetch_add(1, std::memory_order_relaxed);
+bool SessionManager::reuse_fresh(Session& session, const std::string& device_name,
+                                 std::uint64_t boot_count, std::uint64_t now_ns) {
   std::lock_guard<std::mutex> lock(session.mu);
-  if (session.closed.load(std::memory_order_acquire))
-    return R::err("gateway: session detached");
-  session.attested[device_name] =
-      DeviceAttestation{std::move(*evidence), now_ns, boot_count};
-  return kRaExchangesPerHandshake;
+  const auto it = session.attested.find(device_name);
+  if (it == session.attested.end()) return false;
+  if (fresh(it->second, boot_count, now_ns, policy_.evidence_ttl_ns)) {
+    handshakes_reused_.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
+  session.attested.erase(it);  // stale: the caller re-proves
+  return false;
 }
 
 bool SessionManager::has_fresh(Session& session, const std::string& device_name,
@@ -80,16 +64,13 @@ bool SessionManager::has_fresh(Session& session, const std::string& device_name,
   if (session.closed.load(std::memory_order_acquire)) return false;
   std::lock_guard<std::mutex> lock(session.mu);
   const auto it = session.attested.find(device_name);
-  if (it == session.attested.end()) return false;
-  const DeviceAttestation& cached = it->second;
-  if (cached.boot_count != boot_count) return false;
-  return policy_.evidence_ttl_ns == ~0ull ||
-         now_ns - cached.attested_at_ns <= policy_.evidence_ttl_ns;
+  return it != session.attested.end() &&
+         fresh(it->second, boot_count, now_ns, policy_.evidence_ttl_ns);
 }
 
 std::vector<SessionPtr> SessionManager::renewal_candidates(
     const std::string& device_name, std::uint64_t boot_count, std::uint64_t now_ns,
-    std::uint64_t age_threshold_ns) {
+    std::uint64_t max_age_ns) {
   // Snapshot the table first, inspect each session after releasing the
   // table lock: mu_ and session.mu never nest.
   std::vector<SessionPtr> all;
@@ -107,7 +88,7 @@ std::vector<SessionPtr> SessionManager::renewal_candidates(
     // A stale boot count is not renewable evidence — the next invoke must
     // run a full fresh handshake anyway (and will, lazily).
     if (it->second.boot_count != boot_count) continue;
-    if (now_ns - it->second.attested_at_ns < age_threshold_ns) continue;
+    if (fresh(it->second, boot_count, now_ns, max_age_ns)) continue;
     due.push_back(session);
   }
   return due;

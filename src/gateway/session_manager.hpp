@@ -19,7 +19,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -64,11 +63,6 @@ struct Session {
 
 using SessionPtr = std::shared_ptr<Session>;
 
-/// Runs the full RA exchange against one device and returns its evidence
-/// (already appraised by the gateway's verifier en route — an error means
-/// the device failed appraisal).
-using HandshakeFn = std::function<Result<attestation::Evidence>()>;
-
 /// Fabric round-trips one WaTZ handshake costs (msg0->msg1, msg2->msg3).
 inline constexpr std::uint32_t kRaExchangesPerHandshake = 2;
 
@@ -84,19 +78,15 @@ class SessionManager {
   /// worker ever dereferences freed session state.
   bool detach(std::uint64_t session_id);
 
-  /// Ensures `session` holds fresh evidence for `device_name` at
-  /// `boot_count`. Runs `handshake` only when the cached evidence is
-  /// missing or stale under the policy (without holding the session lock
-  /// across the exchange). Returns the number of RA message exchanges this
-  /// call performed (0 == evidence cache hit).
-  Result<std::uint32_t> ensure_attested(Session& session, const std::string& device_name,
-                                        std::uint64_t boot_count, std::uint64_t now_ns,
-                                        const HandshakeFn& handshake);
+  /// The lazy per-invoke check: true (a reused handshake) when `session`
+  /// holds evidence for `device_name` fresh under the policy at `now_ns`;
+  /// otherwise drops any stale entry and returns false — the caller then
+  /// re-proves with no lock held (racing callers both do; last record wins).
+  bool reuse_fresh(Session& session, const std::string& device_name,
+                   std::uint64_t boot_count, std::uint64_t now_ns);
 
-  /// Records evidence collected OUTSIDE ensure_attested — the batched
-  /// attach path runs one pipelined protocol exchange covering many
-  /// sessions and then deposits each lane's evidence here. Counts as a run
-  /// handshake; fails without touching the cache when the session was
+  /// Records one handshake lane's evidence (Gateway::attest). Counts as a
+  /// run handshake; fails without touching the cache when the session was
   /// detached while the batch was in flight.
   Status record_attestation(Session& session, const std::string& device_name,
                             std::uint64_t boot_count, std::uint64_t now_ns,
@@ -110,7 +100,7 @@ class SessionManager {
                  std::uint64_t boot_count, std::uint64_t now_ns) const;
 
   /// Sessions whose evidence for `device_name` (at `boot_count`) is older
-  /// than `age_threshold_ns` but not yet detached — what the gateway's
+  /// than `max_age_ns` but not yet detached — what the gateway's
   /// background renewal sweep re-attests BEFORE the TTL lapses, so the
   /// invoke hot path never pays a lazy handshake. Lock discipline: the
   /// session table lock and each session's lock are taken in sequence,
@@ -118,10 +108,7 @@ class SessionManager {
   std::vector<SessionPtr> renewal_candidates(const std::string& device_name,
                                              std::uint64_t boot_count,
                                              std::uint64_t now_ns,
-                                             std::uint64_t age_threshold_ns);
-
-  const SessionPolicy& policy() const noexcept { return policy_; }
-  void set_policy(SessionPolicy policy) noexcept { policy_ = policy; }
+                                             std::uint64_t max_age_ns);
 
   std::size_t active() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -138,7 +125,7 @@ class SessionManager {
   }
 
  private:
-  SessionPolicy policy_;
+  const SessionPolicy policy_;
   mutable std::mutex mu_;  // guards sessions_ and next_id_
   std::map<std::uint64_t, SessionPtr> sessions_;
   std::uint64_t next_id_ = 1;

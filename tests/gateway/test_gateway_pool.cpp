@@ -1,7 +1,8 @@
 // Per-device sandbox-pool tests: slot-affinity reuse, concurrent fan-out
 // across one device's slots, cross-lane INVOKE_BATCH dedup, the
-// detach-vs-pooled-invoke race, evidence renewal ahead of the TTL, and a
-// 4-thread stress drive of a 2-device x 4-slot fleet (the TSan payload for
+// detach-vs-pooled-invoke race, evidence renewal ahead of the TTL, one
+// handshake ledger across every attestation path, and a 4-thread stress
+// drive of a 2-device x 4-slot fleet (the TSan payload for
 // the pooled execution plane).
 #include <gtest/gtest.h>
 
@@ -238,6 +239,91 @@ TEST_F(GatewayPoolTest, BackgroundRenewalSweeperRuns) {
   ASSERT_TRUE(load.ok());
   auto r = client_->invoke(add_request(attach->session_id, load->measurement, 1, 1));
   EXPECT_TRUE(r.ok()) << r.error();
+}
+
+TEST_F(GatewayPoolTest, EveryAttestPathReconcilesInOneLedger) {
+  GatewayConfig config;
+  config.session_policy.evidence_ttl_ns = 300'000'000;  // 300 ms
+  config.evidence_renewal = false;  // renew by hand, deterministically
+  SetUpFleet(2, config);
+
+  // Every RA exchange the gateway reported, on the wire or by the sweep.
+  std::uint64_t reported_ra = 0;
+
+  // Batched attach: 3 sessions x 2 devices, one 2-round-trip batch each.
+  auto attach = client_->attach_all({"tenant-a", "tenant-b", "tenant-c"});
+  ASSERT_TRUE(attach.ok()) << attach.error();
+  ASSERT_EQ(attach->results.size(), 3u);
+  EXPECT_EQ(attach->ra_fabric_exchanges, 2 * kRaExchangesPerHandshake);
+  std::vector<std::uint64_t> ids;
+  for (const AttachBatchResult& r : attach->results) {
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_EQ(r.devices_attested, 2u);
+    EXPECT_EQ(r.ra_exchanges, 2 * kRaExchangesPerHandshake);
+    reported_ra += r.ra_exchanges;
+    ids.push_back(r.session_id);
+  }
+  auto load = client_->load_module(ids[0], adder_app());
+  ASSERT_TRUE(load.ok()) << load.error();
+
+  // Renewal past ~80% of the TTL re-proves all 6 (session, device) pairs.
+  std::this_thread::sleep_for(std::chrono::milliseconds(260));
+  ASSERT_EQ(gateway_->sweep_evidence_renewals(), 6u);
+  reported_ra += 6 * kRaExchangesPerHandshake;
+
+  // The TTL lapses: each session's next invoke pays a lazy handshake on
+  // the device it lands on.
+  std::this_thread::sleep_for(std::chrono::milliseconds(320));
+  std::string landed;
+  for (std::size_t s = 0; s < ids.size(); ++s) {
+    auto r = client_->invoke(add_request(ids[s], load->measurement, 1, 1));
+    ASSERT_TRUE(r.ok()) << r.error();
+    EXPECT_EQ(r->ra_exchanges, kRaExchangesPerHandshake);
+    reported_ra += r->ra_exchanges;
+    if (s == 0) landed = r->device;
+  }
+
+  // Rebooting the device session 0 ran on makes its evidence stale; the
+  // next invoke returns to that idle affinity slot and re-proves lazily.
+  for (auto& device : devices_) {
+    if (device->hostname() == landed) {
+      ASSERT_TRUE(gateway_->add_device(*device).ok());
+    }
+  }
+  auto again = client_->invoke(add_request(ids[0], load->measurement, 2, 2));
+  ASSERT_TRUE(again.ok()) << again.error();
+  EXPECT_EQ(again->device, landed);
+  EXPECT_EQ(again->ra_exchanges, kRaExchangesPerHandshake);
+  reported_ra += again->ra_exchanges;
+
+  // One ledger: the session manager recorded exactly the handshakes the
+  // verifier completed, and each one cost 2 RA exchanges.
+  const std::uint64_t run = gateway_->sessions().handshakes_run();
+  EXPECT_EQ(run, 6u + 6u + 3u + 1u);
+  EXPECT_EQ(run, gateway_->verifier().handshakes_completed());
+  EXPECT_EQ(reported_ra, run * kRaExchangesPerHandshake);
+
+  // An appraisal failure reads the same on attach and on the lazy path:
+  // "gateway: <host> failed appraisal: <the verifier's reason>".
+  ra::VerifierPolicy outdated;
+  outdated.min_watz_version = ~0u;
+  gateway_->verifier().set_policy(outdated);
+  const auto reason = [](const std::string& error) {
+    const std::string host = "gateway: pool-node-";
+    const std::string marker = " failed appraisal: ";
+    const std::size_t at = error.find(marker);
+    EXPECT_NE(at, std::string::npos) << error;
+    EXPECT_NE(error.rfind(host, at), std::string::npos) << error;
+    EXPECT_EQ(error.rfind(host, at) + host.size() + 1, at) << error;
+    return at == std::string::npos ? error : error.substr(at + marker.size());
+  };
+  auto refused = client_->attach("tenant-d");
+  ASSERT_FALSE(refused.ok());
+  for (auto& device : devices_) ASSERT_TRUE(gateway_->add_device(*device).ok());
+  auto lazy = client_->invoke(add_request(ids[1], load->measurement, 3, 3));
+  ASSERT_FALSE(lazy.ok());
+  EXPECT_EQ(lazy.error().rfind("gateway: pool-node-", 0), 0u) << lazy.error();
+  EXPECT_EQ(reason(refused.error()), reason(lazy.error()));
 }
 
 /// One slow device (25 ms device-side world switch) with a 2-slot pool and
