@@ -19,26 +19,6 @@ inline void unwind(std::vector<std::uint64_t>& stack, std::size_t& sp,
   sp -= drop;
 }
 
-void call_host(Instance& inst, const FuncSlot& slot, std::vector<std::uint64_t>& stack,
-               std::size_t& sp) {
-  const std::size_t nargs = slot.type.params.size();
-  std::vector<Value> args(nargs);
-  for (std::size_t i = 0; i < nargs; ++i) {
-    args[i] = Value{slot.type.params[i], stack[sp - nargs + i]};
-  }
-  sp -= nargs;
-  auto results = slot.host(inst, args);
-  if (!results.ok()) trap(results.error());
-  if (results->size() != slot.type.results.size())
-    trap("host function returned wrong result count");
-  for (const Value& v : *results) {
-    // A host function may return more values than it consumed; mirror the
-    // interpreter's growth guard instead of relying on frame headroom.
-    if (sp >= stack.size()) stack.resize(stack.size() * 2 + 16);
-    stack[sp++] = v.bits;
-  }
-}
-
 /// Runs the resolved instruction stream (the pre-JIT tier). Pointer
 /// lifetime audit for the duration of the dispatch loop:
 ///   * `mem` (Memory*) is stable — memory.grow reallocates the backing

@@ -31,6 +31,12 @@ void mem_store(Memory& mem, std::uint8_t op, std::uint32_t addr, std::uint64_t o
 
 [[noreturn]] inline void trap(std::string message) { throw TrapException{std::move(message)}; }
 
+/// Calls the host function in `slot`, for both executors: pops its params
+/// off the operand stack and pushes its results. Traps on a host error or
+/// a result count that disagrees with the function type.
+void call_host(Instance& inst, const FuncSlot& slot, std::vector<std::uint64_t>& stack,
+               std::size_t& sp);
+
 /// RAII span covering one guest entry — the time actually spent running
 /// guest code, common to the interpreter and the AOT executor (constructed
 /// in Instance::invoke_index, so both modes report identically). Emits an

@@ -108,16 +108,11 @@ Result<std::vector<CompiledFunc>> precompile_module(const Module& module) {
   return compiled;
 }
 
-Result<std::unique_ptr<Instance>> Instance::instantiate(
-    Module module, const ImportResolver& imports, ExecMode mode,
-    std::vector<CompiledFunc> precompiled, bool already_validated) {
-  auto shared_module = std::make_shared<const Module>(std::move(module));
-  std::shared_ptr<const std::vector<CompiledFunc>> shared_compiled;
-  if (!precompiled.empty())
-    shared_compiled =
-        std::make_shared<const std::vector<CompiledFunc>>(std::move(precompiled));
-  return instantiate_shared(std::move(shared_module), imports, mode,
-                            std::move(shared_compiled), already_validated);
+Result<std::unique_ptr<Instance>> Instance::instantiate(Module module,
+                                                       const ImportResolver& imports,
+                                                       ExecMode mode) {
+  return instantiate_shared(std::make_shared<const Module>(std::move(module)), imports,
+                            mode);
 }
 
 Result<std::unique_ptr<Instance>> Instance::instantiate_shared(

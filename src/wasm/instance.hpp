@@ -117,30 +117,28 @@ struct GlobalSlot {
 class Instance {
  public:
   /// Decodes nothing: takes a decoded module, validates it, links imports,
-  /// evaluates segments and (in AOT mode) pre-compiles every function.
-  /// Runs the start function if present.
-  ///
-  /// `precompiled` lets the embedder run the AOT translation ("loading"
-  /// phase in the paper's Fig 4 breakdown) separately via
-  /// precompile_module() and hand the result in; when empty and mode==Aot,
-  /// translation happens inside instantiate().
-  ///
-  /// `already_validated` skips the validation pass for modules the embedder
-  /// has run through validate_module() before (e.g. a cached prepared
-  /// module being re-instantiated); passing an unvalidated module with the
-  /// flag set is undefined behaviour at execution time. In Aot mode without
-  /// a supplied stream the translation itself validates, so no separate
-  /// pass runs either way.
-  static Result<std::unique_ptr<Instance>> instantiate(
-      Module module, const ImportResolver& imports, ExecMode mode,
-      std::vector<CompiledFunc> precompiled = {}, bool already_validated = false);
+  /// evaluates segments and (in AOT mode) pre-compiles every function —
+  /// the AOT translation validates as it goes, so no separate pass runs
+  /// there. Runs the start function if present.
+  static Result<std::unique_ptr<Instance>> instantiate(Module module,
+                                                       const ImportResolver& imports,
+                                                       ExecMode mode);
 
   /// Zero-copy variant: the module (and its AOT form) stay owned by the
   /// caller -- typically a module cache -- and are only referenced. Both
   /// are immutable during execution, so any number of instances can share
   /// one prepared image; per-instance state (memory, globals, table) is
-  /// still private. `precompiled` may be null (required for Aot mode
-  /// unless the module has no code).
+  /// still private.
+  ///
+  /// `precompiled` lets the embedder run the AOT translation ("loading"
+  /// phase in the paper's Fig 4 breakdown) separately via
+  /// precompile_module() and hand the result in; when null and mode==Aot,
+  /// translation happens here.
+  ///
+  /// `already_validated` skips the validation pass for modules the embedder
+  /// has run through validate_module() before (e.g. a cached prepared
+  /// module being re-instantiated); passing an unvalidated module with the
+  /// flag set is undefined behaviour at execution time.
   static Result<std::unique_ptr<Instance>> instantiate_shared(
       std::shared_ptr<const Module> module, const ImportResolver& imports,
       ExecMode mode,
