@@ -1036,7 +1036,11 @@ int main(int argc, char** argv) {
     const Bytes chaos_module = adder_module();
     auto module = admin.load_module(session->session_id, chaos_module);
     module.ok() ? void() : throw Error("bench: " + module.error());
-    if (gw.sweep_module_prewarms() != 2)
+    // module_prewarm also runs the background sweeper, which may prewarm
+    // first and leave this manual sweep less to do; prepares are
+    // idempotent per device, so the cumulative count is exactly 2.
+    gw.sweep_module_prewarms();
+    if (gw.stats().prewarm_prepares != 2)
       throw Error("bench: prewarm sweep missed a device");
 
     // Kill device 0's trust path: stale evidence + an RA link that drops
